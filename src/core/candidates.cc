@@ -22,13 +22,12 @@ CandidateSelector::CandidateSelector(IndexPool* pool,
              "CandidateSelector requires pool and optimizer");
 }
 
-double CandidateSelector::UniverseBenefit(
-    IndexId a, const std::vector<double>& benefit_of) const {
+size_t CandidateSelector::UniverseSlot(IndexId a) const {
   // universe_ is sorted; every queried id comes from it.
   const std::vector<IndexId>& ids = universe_.ids();
   auto it = std::lower_bound(ids.begin(), ids.end(), a);
   WFIT_DCHECK(it != ids.end() && *it == a, "id outside the universe");
-  return benefit_of[static_cast<size_t>(it - ids.begin())];
+  return static_cast<size_t>(it - ids.begin());
 }
 
 std::vector<IndexId> CandidateSelector::TopIndices(
@@ -42,7 +41,7 @@ std::vector<IndexId> CandidateSelector::TopIndices(
   std::vector<Scored> scored;
   scored.reserve(x.size());
   for (IndexId a : x) {
-    double score = UniverseBenefit(a, benefit_of);
+    double score = benefit_of[UniverseSlot(a)];
     if (!monitored.Contains(a)) {
       // A new index must displace a monitored one: charge (a scaled share
       // of) its materialization cost as required extra evidence.
@@ -65,13 +64,15 @@ std::vector<IndexId> CandidateSelector::TopIndices(
   return out;
 }
 
-SelectorState CandidateSelector::ExportState() const {
+SelectorState CandidateSelector::ExportState(bool include_windows) const {
   SelectorState state;
   state.universe = universe_;
   state.position = position_;
   state.rng_state = rng_.SaveState();
-  state.benefit_windows = idx_stats_.Export();
-  state.interaction_windows = int_stats_.Export();
+  if (include_windows) {
+    state.benefit_windows = idx_stats_.Export();
+    state.interaction_windows = int_stats_.Export();
+  }
   return state;
 }
 
@@ -116,17 +117,24 @@ CandidateAnalysis CandidateSelector::ChooseCands(
   // ranked by current benefit: the mask cap and the what-if node budget
   // both shed from the low-benefit tail. Probes fan out across the
   // analysis pool when one is attached (deterministic level-sync build).
-  relevant_scratch_ = RelevantCandidates(
-      q, *pool_, universe_ids, /*cap=*/std::numeric_limits<size_t>::max());
-  std::stable_sort(relevant_scratch_.begin(), relevant_scratch_.end(),
-                   [&](IndexId a, IndexId b) {
-                     double ba = UniverseBenefit(a, benefit_scratch_);
-                     double bb = UniverseBenefit(b, benefit_scratch_);
-                     if (ba != bb) return ba > bb;
-                     return a < b;
-                   });
-  if (relevant_scratch_.size() > options_.ibg_cap) {
-    relevant_scratch_.resize(options_.ibg_cap);
+  // The ids are distinct, so (benefit desc, id asc) is a strict total
+  // order and the ranking is unique.
+  ranked_scratch_.clear();
+  for (IndexId a : RelevantCandidates(
+           q, *pool_, universe_ids,
+           /*cap=*/std::numeric_limits<size_t>::max())) {
+    ranked_scratch_.emplace_back(benefit_scratch_[UniverseSlot(a)], a);
+  }
+  std::sort(ranked_scratch_.begin(), ranked_scratch_.end(),
+            [](const std::pair<double, IndexId>& a,
+               const std::pair<double, IndexId>& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  relevant_scratch_.clear();
+  for (const auto& [benefit, a] : ranked_scratch_) {
+    if (relevant_scratch_.size() == options_.ibg_cap) break;
+    relevant_scratch_.push_back(a);
   }
   auto ibg = std::make_shared<IndexBenefitGraph>(
       q, *optimizer_, relevant_scratch_, options_.ibg_node_budget,
@@ -148,11 +156,12 @@ CandidateAnalysis CandidateSelector::ChooseCands(
 
   // Lines 4-5: D ← M ∪ topIndices(U − M, idxCnt − |M|). topIndices scores
   // with the statistics INCLUDING this statement's Record calls above, so
-  // the benefit scratch is refreshed here (the ranking scratch deliberately
-  // predated them, exactly like the original two separate passes).
-  benefit_scratch_.clear();
-  for (IndexId a : universe_ids) {
-    benefit_scratch_.push_back(idx_stats_.CurrentBenefit(a, position_));
+  // the benefit scratch is refreshed here (the ranking deliberately
+  // predated them, exactly like the original two separate passes). Only
+  // the IBG candidates' windows changed, so only their entries move.
+  for (IndexId a : ibg->candidates()) {
+    benefit_scratch_[UniverseSlot(a)] =
+        idx_stats_.CurrentBenefit(a, position_);
   }
   IndexSet monitored;
   for (const IndexSet& part : current_partition) {

@@ -107,8 +107,11 @@ class CandidateSelector {
   /// Snapshot hooks (persist/): ExportState captures, RestoreState replaces
   /// the selector's mutable state. Restoring fails (InvalidArgument, state
   /// untouched except already-restored windows) only on an unparseable RNG
-  /// state. Options and seed stay with the constructor.
-  SelectorState ExportState() const;
+  /// state. Options and seed stay with the constructor. Without
+  /// `include_windows` the windows are left out: the snapshot encoder
+  /// reads them in place (benefit_stats().windows(), ...) rather than
+  /// copying every window on every checkpoint.
+  SelectorState ExportState(bool include_windows = true) const;
   Status RestoreState(const SelectorState& state);
 
  private:
@@ -119,10 +122,9 @@ class CandidateSelector {
                                   const IndexSet& monitored,
                                   const std::vector<double>& benefit_of) const;
 
-  /// The precomputed benefit of universe member `a` from a scratch vector
-  /// aligned with universe_.ids().
-  double UniverseBenefit(IndexId a,
-                         const std::vector<double>& benefit_of) const;
+  /// Position of universe member `a` in universe_.ids() (and so in the
+  /// benefit scratch).
+  size_t UniverseSlot(IndexId a) const;
 
   IndexPool* pool_;
   const WhatIfOptimizer* optimizer_;
@@ -135,12 +137,14 @@ class CandidateSelector {
   uint64_t position_ = 0;      // statements analyzed (1-based after ++)
   double statement_weight_ = 1.0;
   // Per-statement scratch, hoisted so ChooseCands is allocation-stable:
-  // current benefit per universe id (computed once per statement — the
-  // ranking sort and topIndices both read it instead of re-walking the
-  // stats windows per comparison). choosePartition's own doi memoization
-  // lives inside ChoosePartition (core/partition.cc: dense doi matrix +
-  // cross-loss cache).
+  // current benefit per universe id, computed once per statement and, after
+  // updateStats, refreshed only for the IBG candidates whose windows it
+  // touched (the IBG ranking and topIndices read it instead of re-walking
+  // stats windows); (benefit, id) pairs for the IBG ranking.
+  // choosePartition evaluates doi once per pair of D itself and searches
+  // only the positive-doi graph (core/partition.cc).
   std::vector<double> benefit_scratch_;
+  std::vector<std::pair<double, IndexId>> ranked_scratch_;
   std::vector<IndexId> relevant_scratch_;
   std::vector<IndexId> not_materialized_scratch_;
 };

@@ -13,7 +13,8 @@
 
 namespace wfit {
 
-/// doi*_N lookup for a pair of candidates.
+/// doi*_N lookup for a pair of candidates. Must be non-negative (doi is a
+/// maximum of absolute values); ChoosePartition checks it.
 using DoiFn = std::function<double(IndexId, IndexId)>;
 
 struct PartitionOptions {
@@ -39,6 +40,13 @@ void CanonicalizePartition(std::vector<IndexSet>* parts);
 /// the (restricted) current partition as a baseline plus rand_cnt
 /// randomized merge searches. Requires 2·|indices| ≤ state_cnt (the
 /// all-singletons partition must be feasible).
+///
+/// `doi` is called once per pair. The search then touches only pairs with
+/// positive doi (a sparse graph in practice), yet it computes every loss
+/// and merge weight as the same double, and draws the same random numbers
+/// from `rng`, as a scan over all part pairs would: the chosen partition
+/// and the Rng stream position are those of the direct formulation
+/// (tests/partition_test.cc keeps it as an oracle).
 std::vector<IndexSet> ChoosePartition(
     const std::vector<IndexId>& indices,
     const std::vector<IndexSet>& current_partition, const DoiFn& doi,

@@ -1,90 +1,106 @@
 #include "core/stats.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace wfit {
 
-void RecencyWindow::Record(uint64_t n, double value) {
-  WFIT_CHECK(buf_.empty() || buf_[newest_].first <= n,
-             "RecencyWindow positions must be non-decreasing");
-  if (hist_size_ == 0) return;  // history disabled: window stays empty
-  if (buf_.size() < hist_size_) {
-    buf_.emplace_back(n, value);
-    newest_ = buf_.size() - 1;
-  } else {
-    newest_ = (newest_ + 1) % hist_size_;
-    buf_[newest_] = {n, value};  // overwrites the oldest slot
-  }
+RecencyRing::~RecencyRing() { std::free(buf_); }
+
+void RecencyRing::Swap(RecencyRing* other) {
+  std::swap(buf_, other->buf_);
+  std::swap(size_, other->size_);
+  std::swap(newest_, other->newest_);
 }
 
-double RecencyWindow::CurrentValue(uint64_t now) const {
-  if (buf_.empty()) return 0.0;
+void RecencyRing::Record(uint32_t hist_size, uint64_t n, double value) {
+  WFIT_CHECK(size_ == 0 || buf_[newest_].n <= n,
+             "RecencyWindow positions must be non-decreasing");
+  if (hist_size == 0) return;  // history disabled: window stays empty
+  if (size_ < hist_size) {
+    // Exact capacity: grow by one entry (in place when the heap allows).
+    void* grown = std::realloc(buf_, (size_ + 1) * sizeof(Entry));
+    WFIT_CHECK(grown != nullptr, "RecencyRing: out of memory");
+    buf_ = static_cast<Entry*>(grown);
+    newest_ = size_++;
+  } else {
+    newest_ = (newest_ + 1) % hist_size;  // overwrites the oldest slot
+  }
+  buf_[newest_] = Entry{n, value};
+}
+
+double RecencyRing::CurrentValue(uint64_t now) const {
+  if (size_ == 0) return 0.0;
   double best = 0.0;
   double sum = 0.0;
-  const size_t count = buf_.size();
+  const size_t count = size_;
   size_t idx = newest_;
   for (size_t i = 0; i < count; ++i) {  // newest -> oldest
-    const auto& [n, v] = buf_[idx];
-    sum += v;
+    const Entry& e = buf_[idx];
+    sum += e.value;
     // now >= n always holds; the window spans the most recent now-n+1
     // statements.
-    double denom = static_cast<double>(now - n + 1);
+    double denom = static_cast<double>(now - e.n + 1);
     best = std::max(best, sum / denom);
     idx = (idx + count - 1) % count;
   }
   return best;
 }
 
-std::vector<std::pair<uint64_t, double>> RecencyWindow::Entries() const {
+std::vector<std::pair<uint64_t, double>> RecencyRing::Entries() const {
   std::vector<std::pair<uint64_t, double>> out;
-  if (buf_.empty()) return out;
-  out.reserve(buf_.size());
-  const size_t count = buf_.size();
-  size_t idx = (newest_ + 1) % count;  // oldest slot (0 until the ring wraps)
-  for (size_t i = 0; i < count; ++i) {
-    out.push_back(buf_[idx]);
-    idx = (idx + 1) % count;
-  }
+  out.reserve(size_);
+  ForEachEntry([&out](uint64_t n, double value) { out.emplace_back(n, value); });
   return out;
 }
 
-void RecencyWindow::RestoreEntries(
+void RecencyRing::Restore(
+    uint32_t hist_size,
     const std::vector<std::pair<uint64_t, double>>& oldest_first) {
-  buf_.clear();
+  for (size_t i = 1; i < oldest_first.size(); ++i) {
+    WFIT_CHECK(oldest_first[i - 1].first <= oldest_first[i].first,
+               "RecencyWindow positions must be non-decreasing");
+  }
+  // The newest hist_size entries, oldest first: the logical ring a
+  // sequence of Record calls would leave.
+  const size_t keep = std::min<size_t>(oldest_first.size(), hist_size);
+  std::free(buf_);
+  buf_ = nullptr;
+  size_ = 0;
   newest_ = 0;
-  for (const auto& [n, v] : oldest_first) Record(n, v);
+  if (keep == 0) return;
+  buf_ = static_cast<Entry*>(std::malloc(keep * sizeof(Entry)));
+  WFIT_CHECK(buf_ != nullptr, "RecencyRing: out of memory");
+  const size_t skip = oldest_first.size() - keep;
+  for (size_t i = 0; i < keep; ++i) {
+    buf_[i] = Entry{oldest_first[skip + i].first, oldest_first[skip + i].second};
+  }
+  size_ = static_cast<uint32_t>(keep);
+  newest_ = size_ - 1;
+}
+
+RecencyWindow::RecencyWindow(size_t hist_size)
+    : hist_size_(static_cast<uint32_t>(hist_size)) {
+  WFIT_CHECK(hist_size <= UINT32_MAX, "RecencyWindow: hist_size too large");
 }
 
 void BenefitStats::Record(IndexId a, uint64_t n, double beta) {
   if (beta <= 0.0) return;
-  auto [it, inserted] = windows_.try_emplace(a, hist_size_);
-  it->second.Record(n, beta);
+  windows_.Record(a, n, beta);
 }
 
 double BenefitStats::CurrentBenefit(IndexId a, uint64_t now) const {
-  auto it = windows_.find(a);
-  if (it == windows_.end()) return 0.0;
-  return it->second.CurrentValue(now);
+  return windows_.CurrentValue(a, now);
 }
 
 std::vector<std::pair<IndexId, std::vector<std::pair<uint64_t, double>>>>
 BenefitStats::Export() const {
-  std::vector<std::pair<IndexId, std::vector<std::pair<uint64_t, double>>>>
-      out;
-  out.reserve(windows_.size());
-  for (const auto& [id, window] : windows_) {
-    out.emplace_back(id, window.Entries());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+  return windows_.Export();
 }
 
 void BenefitStats::RestoreWindow(
     IndexId a, const std::vector<std::pair<uint64_t, double>>& entries) {
-  auto [it, inserted] = windows_.insert_or_assign(a, RecencyWindow(hist_size_));
-  (void)inserted;
-  it->second.RestoreEntries(entries);
+  windows_.Restore(a, entries);
 }
 
 uint64_t InteractionStats::Key(IndexId a, IndexId b) {
@@ -96,39 +112,25 @@ uint64_t InteractionStats::Key(IndexId a, IndexId b) {
 void InteractionStats::Record(IndexId a, IndexId b, uint64_t n, double d) {
   if (d <= 0.0) return;
   WFIT_CHECK(a != b, "interaction of an index with itself");
-  auto [it, inserted] = windows_.try_emplace(Key(a, b), hist_size_);
-  it->second.Record(n, d);
+  windows_.Record(Key(a, b), n, d);
 }
 
 double InteractionStats::CurrentDoi(IndexId a, IndexId b, uint64_t now) const {
-  auto it = windows_.find(Key(a, b));
-  if (it == windows_.end()) return 0.0;
-  return it->second.CurrentValue(now);
+  return windows_.CurrentValue(Key(a, b), now);
 }
 
 bool InteractionStats::HasInteraction(IndexId a, IndexId b) const {
-  return windows_.count(Key(a, b)) != 0;
+  return windows_.Contains(Key(a, b));
 }
 
 std::vector<std::pair<uint64_t, std::vector<std::pair<uint64_t, double>>>>
 InteractionStats::Export() const {
-  std::vector<std::pair<uint64_t, std::vector<std::pair<uint64_t, double>>>>
-      out;
-  out.reserve(windows_.size());
-  for (const auto& [key, window] : windows_) {
-    out.emplace_back(key, window.Entries());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+  return windows_.Export();
 }
 
 void InteractionStats::RestoreWindow(
     uint64_t key, const std::vector<std::pair<uint64_t, double>>& entries) {
-  auto [it, inserted] =
-      windows_.insert_or_assign(key, RecencyWindow(hist_size_));
-  (void)inserted;
-  it->second.RestoreEntries(entries);
+  windows_.Restore(key, entries);
 }
 
 }  // namespace wfit

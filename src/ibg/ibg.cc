@@ -1,6 +1,7 @@
 #include "ibg/ibg.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <thread>
@@ -150,27 +151,30 @@ const IndexBenefitGraph::Node& IndexBenefitGraph::Covering(
   }
 }
 
-double IndexBenefitGraph::CostOf(Mask subset) const {
-  WFIT_DCHECK(IsSubset(subset, root_), "CostOf: mask outside candidate set");
-  // Only plan-relevant bits can change the answer; projecting first makes
-  // the memo caches dense.
-  const Mask key = subset & relevant_used_;
-  if (enum_ready_ && IsSubset(key, enum_universe_)) {
-    // Dense fast path: the benefit/doi enumeration domain.
-    Mask rest = key;
-    size_t idx = 0;
-    while (rest != 0) {
-      int bit = LowestBit(rest);
-      rest &= rest - 1;
-      idx |= size_t{1} << enum_pos_[bit];
-    }
-    return enum_costs_[idx];
+Mask IndexBenefitGraph::Compress(Mask subset) const {
+  Mask idx = 0;
+  for (Mask rest = subset; rest != 0; rest &= rest - 1) {
+    idx |= Mask{1} << enum_pos_[LowestBit(rest)];
   }
-  CheckSingleReader();
+  return idx;
+}
+
+double IndexBenefitGraph::CostAt(Mask key) const {
+  if (enum_ready_ && IsSubset(key, enum_universe_)) {
+    return enum_costs_[Compress(key)];
+  }
   if (const double* cached = cost_cache_.Find(key)) return *cached;
   double cost = Covering(key).cost;
   cost_cache_.Insert(key, cost);
   return cost;
+}
+
+double IndexBenefitGraph::CostOf(Mask subset) const {
+  WFIT_DCHECK(IsSubset(subset, root_), "CostOf: mask outside candidate set");
+  CheckSingleReader();
+  // Only plan-relevant bits can change the answer; projecting first makes
+  // the memo caches dense.
+  return CostAt(subset & relevant_used_);
 }
 
 Mask IndexBenefitGraph::UsedAt(Mask subset) const {
@@ -179,56 +183,121 @@ Mask IndexBenefitGraph::UsedAt(Mask subset) const {
 }
 
 double IndexBenefitGraph::BenefitOf(int bit, Mask context) const {
+  CheckSingleReader();
   Mask without = context & ~(Mask{1} << bit);
   Mask with = without | (Mask{1} << bit);
-  return CostOf(without) - CostOf(with);
+  return CostAt(without & relevant_used_) - CostAt(with & relevant_used_);
 }
 
 void IndexBenefitGraph::PrepareEnumeration() const {
   if (enum_ready_) return;
-  CheckSingleReader();
   enum_universe_ = KeepLowestBits(relevant_used_, kMaxEnumerationBits);
+  // masks[x]: the domain subset with dense index x (rank r <-> bit r of x).
+  std::vector<Mask> masks = {0};
   int k = 0;
   for (Mask rest = enum_universe_; rest != 0; rest &= rest - 1) {
-    enum_pos_[LowestBit(rest)] = static_cast<uint8_t>(k++);
-  }
-  enum_costs_.resize(size_t{1} << k);
-  // Expand each dense index back to its mask and take one descent; the
-  // 2^k ≤ 4096 descents replace the millions of memoized hash lookups the
-  // per-context searches would otherwise issue.
-  for (size_t idx = 0; idx < enum_costs_.size(); ++idx) {
-    Mask m = 0;
-    size_t bits = idx;
-    Mask universe = enum_universe_;
-    while (bits != 0) {
-      int low = LowestBit(universe);
-      if (bits & 1) m |= Mask{1} << low;
-      universe &= universe - 1;
-      bits >>= 1;
+    const int bit = LowestBit(rest);
+    enum_pos_[bit] = static_cast<uint8_t>(k++);
+    const size_t half = masks.size();
+    for (size_t x = 0; x < half; ++x) {
+      masks.push_back(masks[x] | (Mask{1} << bit));
     }
-    enum_costs_[idx] = Covering(m).cost;
+  }
+  const size_t size = masks.size();
+  enum_costs_.resize(size);
+  for (size_t x = 0; x < size; ++x) enum_costs_[x] = Covering(masks[x]).cost;
+  const Mask above = relevant_used_ & ~enum_universe_;
+  slabs_.resize(static_cast<size_t>(PopCount(above)) * size);
+  uint8_t slab = 0;
+  for (Mask rest = above; rest != 0; rest &= rest - 1) {
+    const int bit = LowestBit(rest);
+    slab_of_[bit] = slab;
+    double* costs = &slabs_[slab * size];
+    for (size_t x = 0; x < size; ++x) {
+      costs[x] = Covering(masks[x] | (Mask{1} << bit)).cost;
+    }
+    ++slab;
   }
   enum_ready_ = true;
 }
 
 double IndexBenefitGraph::MaxBenefit(int bit) const {
-  Mask self = Mask{1} << bit;
+  CheckSingleReader();
+  const Mask self = Mask{1} << bit;
   if ((relevant_used_ & self) == 0) {
     // Never used in any plan: it cannot produce positive benefit, but an
     // update's maintenance can still be triggered; check the empty context.
     return BenefitOf(bit, 0);
   }
   PrepareEnumeration();
-  // Bound the enumeration: beyond kMaxEnumerationBits plan-relevant
-  // indices, keep the lowest bits (deterministic truncation). The universe
-  // is computed exactly as before the dense memo existed — when self is
-  // among the lowest relevant bits it may include one bit beyond
-  // enum_universe_, and those contexts simply take the memoized-descent
-  // path instead of the dense array.
-  Mask universe = KeepLowestBits(relevant_used_ & ~self, kMaxEnumerationBits);
+  // Contexts: X ⊆ the lowest kMaxEnumerationBits relevant bits other than
+  // self, in descending mask order. Columns are read at X's dense index x:
+  // cost(X ∪ {a}) is enum_costs_[x | rank(a)] for a in the domain, and
+  // slab a's entry x above it.
+  const size_t size = enum_costs_.size();
+  const double* base = enum_costs_.data();
   double best = -std::numeric_limits<double>::infinity();
-  for (SubmaskIterator it(universe); !it.done(); it.Next()) {
-    best = std::max(best, BenefitOf(bit, it.mask()));
+  auto scan = [&best](Mask contexts, const double* without,
+                      const double* with) {
+    for (SubmaskIterator it(contexts); !it.done(); it.Next()) {
+      best = std::max(best, without[it.mask()] - with[it.mask()]);
+    }
+  };
+  if (IsSubset(self, enum_universe_)) {
+    const Mask p = Mask{1} << enum_pos_[bit];
+    const Mask contexts = static_cast<Mask>(size - 1) & ~p;
+    const Mask above = relevant_used_ & ~enum_universe_;
+    if (above != 0) {
+      // Without self, the lowest bit above the domain joins the context
+      // universe; it is the highest bit, so its contexts come first.
+      const double* slab = &slabs_[slab_of_[LowestBit(above)] * size];
+      scan(contexts, slab, slab + p);
+    }
+    scan(contexts, base, base + p);
+  } else {
+    scan(static_cast<Mask>(size - 1), base,
+         &slabs_[slab_of_[bit] * size]);
+  }
+  return best;
+}
+
+double IndexBenefitGraph::MaxInteraction(int bit_a, int bit_b) const {
+  CheckSingleReader();
+  PrepareEnumeration();
+  const Mask mask_a = Mask{1} << bit_a;
+  const Mask mask_b = Mask{1} << bit_b;
+  // The context universe always lies inside the domain, so X, X∪a and X∪b
+  // are columns (see MaxBenefit). X∪ab is one too unless both bits are
+  // above the domain.
+  const Mask universe = KeepLowestBits(relevant_used_ & ~(mask_a | mask_b),
+                                       kMaxEnumerationBits - 2);
+  const size_t size = enum_costs_.size();
+  const double* base = enum_costs_.data();
+  // rank: the bit's dense-index weight, 0 above the domain.
+  auto rank = [&](int bit) -> size_t {
+    return IsSubset(Mask{1} << bit, enum_universe_)
+               ? size_t{1} << enum_pos_[bit]
+               : 0;
+  };
+  auto slab = [&](int bit) { return &slabs_[slab_of_[bit] * size]; };
+  const size_t rank_a = rank(bit_a);
+  const size_t rank_b = rank(bit_b);
+  const double* with_a = rank_a != 0 ? base + rank_a : slab(bit_a);
+  const double* with_b = rank_b != 0 ? base + rank_b : slab(bit_b);
+  const double* with_ab = rank_b != 0   ? with_a + rank_b
+                          : rank_a != 0 ? with_b + rank_a
+                                        : nullptr;
+  double best = 0.0;
+  SubmaskIterator real(universe);
+  for (SubmaskIterator it(Compress(universe)); !it.done();
+       it.Next(), real.Next()) {
+    const Mask x = it.mask();
+    const double cost_ab = with_ab != nullptr
+                               ? with_ab[x]
+                               : Covering(real.mask() | mask_a | mask_b).cost;
+    // |cost(X) − cost(X∪a) − cost(X∪b) + cost(X∪ab)|
+    double v = base[x] - with_a[x] - with_b[x] + cost_ab;
+    best = std::max(best, std::abs(v));
   }
   return best;
 }

@@ -16,8 +16,9 @@
 //
 // Thread safety after construction: the node table is immutable, but cost
 // lookups memoize into mutable caches, so an IBG must be read by ONE thread
-// at a time. This is enforced (cheaply, always on): the first memoizing
-// read pins the reader thread and any other thread aborts. The engine
+// at a time. This is enforced (cheaply, always on, once per CostOf,
+// BenefitOf, MaxBenefit or MaxInteraction call): the first such read pins
+// the reader thread and any other thread aborts. The engine
 // honors the contract by construction — each per-part IBG is built and
 // consumed inside a single worker task, and the selector's statement-wide
 // IBG is consumed only by the analysis thread.
@@ -86,16 +87,14 @@ class IndexBenefitGraph {
   /// practice: real plans use far fewer indices).
   double MaxBenefit(int bit) const;
 
+  /// max_X |cost(X) − cost(X∪a) − cost(X∪b) + cost(X∪ab)| over X ⊆ the
+  /// lowest kMaxEnumerationBits−2 plan-relevant bits other than a and b:
+  /// the kernel of DegreeOfInteraction (ibg/interactions.h), which checks
+  /// that a ≠ b and that both are plan-relevant before calling it.
+  double MaxInteraction(int bit_a, int bit_b) const;
+
   /// Enumeration budget for benefit/doi context searches.
   static constexpr int kMaxEnumerationBits = 12;
-
-  /// Precomputes cost(q, X) for every X in the benefit/doi enumeration
-  /// domain (the lowest kMaxEnumerationBits of relevant_used()) into a
-  /// dense array, turning the O(2^k) context searches of MaxBenefit and
-  /// DegreeOfInteraction into array reads instead of per-context hashed
-  /// descents. Idempotent; called automatically by MaxBenefit and the doi
-  /// code. Counts as a memoizing read (single-reader contract).
-  void PrepareEnumeration() const;
 
   /// Local bit of a global index id, or -1 if not a candidate.
   int BitOf(IndexId id) const;
@@ -127,7 +126,18 @@ class IndexBenefitGraph {
   /// Descends from the root to the covering node of `subset` (no memo).
   const Node& Covering(Mask subset) const;
 
+  /// cost(q, key) for a key already projected onto relevant_used_: the
+  /// dense tables when prepared and covering, else the memo.
+  double CostAt(Mask key) const;
+
+  /// Builds the dense enumeration tables on first use (see enum_costs_).
+  void PrepareEnumeration() const;
+
+  /// Dense index of a mask within enum_universe_.
+  Mask Compress(Mask subset) const;
+
   /// Aborts if a second thread issues memoizing reads (see file comment).
+  /// Called once per public lookup entry.
   void CheckSingleReader() const;
 
   std::vector<IndexId> candidates_;
@@ -138,12 +148,20 @@ class IndexBenefitGraph {
   FlatMaskMap<Node> nodes_;
   /// Memo for CostOf misses outside the dense enumeration domain.
   mutable FlatMaskMap<double> cost_cache_;
-  /// Dense cost table over enum_universe_ (lazy; see PrepareEnumeration).
+  /// The benefit/doi enumeration domain: the lowest kMaxEnumerationBits of
+  /// relevant_used_, each bit at a dense rank (enum_pos_). Built lazily, on
+  /// the first MaxBenefit or MaxInteraction, with one descent per entry:
+  ///   enum_costs_[x] = cost(X) for the domain subset X of dense index x;
+  ///   a slab per plan-relevant bit a above the domain, at
+  ///   slabs_[slab_of_[a] << k], holding cost(X ∪ {a}) by the same index.
+  /// The context searches are then array reads at compressed indices; only
+  /// doi pairs with both bits above the domain descend for cost(X ∪ ab).
   mutable std::vector<double> enum_costs_;
+  mutable std::vector<double> slabs_;
   mutable Mask enum_universe_ = 0;
   mutable bool enum_ready_ = false;
-  /// Dense rank of each universe bit, for mask compression.
   mutable uint8_t enum_pos_[32] = {};
+  mutable uint8_t slab_of_[32] = {};
   /// Hashed id of the single thread allowed to issue memoizing reads;
   /// 0 = unclaimed.
   mutable std::atomic<uint64_t> reader_{0};

@@ -1,8 +1,5 @@
 #include "ibg/interactions.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace wfit {
 
 double DegreeOfInteraction(const IndexBenefitGraph& ibg, int bit_a,
@@ -17,21 +14,8 @@ double DegreeOfInteraction(const IndexBenefitGraph& ibg, int bit_a,
   }
   // Contexts are enumerated within the plan-relevant indices, truncated to
   // the IBG's enumeration budget (doi is pairwise, so the budget is spent
-  // per pair). The contexts (and their a/b/ab extensions within the lowest
-  // 12 relevant bits) land in the IBG's dense enumeration table.
-  ibg.PrepareEnumeration();
-  const Mask universe =
-      KeepLowestBits(ibg.relevant_used() & ~(mask_a | mask_b),
-                     IndexBenefitGraph::kMaxEnumerationBits - 2);
-  double best = 0.0;
-  for (SubmaskIterator it(universe); !it.done(); it.Next()) {
-    Mask x = it.mask();
-    // |cost(X) − cost(X∪a) − cost(X∪b) + cost(X∪ab)|
-    double v = ibg.CostOf(x) - ibg.CostOf(x | mask_a) -
-               ibg.CostOf(x | mask_b) + ibg.CostOf(x | mask_a | mask_b);
-    best = std::max(best, std::abs(v));
-  }
-  return best;
+  // per pair) and read from its dense cost tables.
+  return ibg.MaxInteraction(bit_a, bit_b);
 }
 
 std::vector<InteractionEntry> ComputeInteractions(

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <utility>
 
@@ -194,79 +195,29 @@ StatusOr<std::string> ApplyDelta(std::string_view base,
   return out;
 }
 
-/// Tries to express the changed unit `next` as a patch over `base_unit`.
-/// Two matchers, cheapest sufficient one wins:
-///   - ring shift, for window units: a window is a bounded ring, so the
-///     new unit is usually [12-byte header][base entries minus the k
-///     oldest][appended entries] — ship the header + appended entries;
-///   - longest common prefix + suffix, for anything with a stable region
-///     (the RNG stream text between twists, a part whose recommendation
-///     changed but whose work values did not, ...).
-/// Emits a kOpPatch and returns true only when it ships materially fewer
-/// bytes than kOpData would; correctness never depends on the match (the
-/// delta's self CRC verifies the reconstruction end to end).
-bool EmitPatchOp(const SnapshotUnit& u, std::string_view next,
-                 std::string_view base_unit, Encoder* ops) {
-  struct Part {
-    uint64_t off = 0;
-    uint64_t len = 0;
-    std::string_view data;
-    bool is_base = false;
-  };
-  std::vector<Part> parts;
-  const bool window = u.section == kSectionBenefitWindow ||
-                      u.section == kSectionInteractionWindow;
-  bool built = false;
-  if (window && base_unit.size() >= 12 && next.size() >= 12 &&
-      (base_unit.size() - 12) % 16 == 0 && (next.size() - 12) % 16 == 0) {
-    // Entries are fixed 16-byte (position, value) pairs after the 12-byte
-    // key+count header; old entries are immutable, so the byte match
-    // below is exact whenever the ring really did shift by k.
-    const uint64_t nb = (base_unit.size() - 12) / 16;
-    const uint64_t nn = (next.size() - 12) / 16;
-    for (uint64_t k = 0; k <= nb && !built; ++k) {
-      const uint64_t surviving = nb - k;
-      if (surviving > nn) continue;
-      if (surviving == 0) break;  // nothing shared; fall through
-      if (std::memcmp(base_unit.data() + 12 + 16 * k, next.data() + 12,
-                      16 * surviving) != 0) {
-        continue;
-      }
-      parts.push_back({0, 0, next.substr(0, 12), false});
-      parts.push_back({12 + 16 * k, 16 * surviving, {}, true});
-      if (12 + 16 * surviving < next.size()) {
-        parts.push_back({0, 0, next.substr(12 + 16 * surviving), false});
-      }
-      built = true;
-    }
-  }
-  if (!built) {
-    size_t p = 0;
-    const size_t max_common = std::min(base_unit.size(), next.size());
-    while (p < max_common && base_unit[p] == next[p]) ++p;
-    size_t s = 0;
-    const size_t max_suffix = max_common - p;
-    while (s < max_suffix &&
-           base_unit[base_unit.size() - 1 - s] == next[next.size() - 1 - s]) {
-      ++s;
-    }
-    if (p + s < 48) return false;  // shared region under the op overhead
-    if (p > 0) parts.push_back({0, p, {}, true});
-    if (p + s < next.size()) {
-      parts.push_back({0, 0, next.substr(p, next.size() - s - p), false});
-    }
-    if (s > 0) parts.push_back({base_unit.size() - s, s, {}, true});
-  }
+/// One piece of a kOpPatch: a range of the base unit, or shipped bytes.
+struct PatchPart {
+  uint64_t off = 0;
+  uint64_t len = 0;
+  std::string_view data;
+  bool is_base = false;
+};
+
+/// Emits `parts` as a kOpPatch for unit `u` and returns true, but only
+/// when that ships materially fewer bytes than kOpData (`next_size` bytes)
+/// would.
+bool EmitPatchParts(const SnapshotUnit& u, size_t next_size,
+                    const std::vector<PatchPart>& parts, Encoder* ops) {
   uint64_t shipped = 14;  // op + section + key + part count
-  for (const Part& part : parts) {
+  for (const PatchPart& part : parts) {
     shipped += part.is_base ? 17 : part.data.size() + 5;
   }
-  if (shipped >= next.size()) return false;
+  if (shipped >= next_size) return false;
   ops->PutU8(kOpPatch);
   ops->PutU8(u.section);
   ops->PutU64(u.key);
   ops->PutU32(static_cast<uint32_t>(parts.size()));
-  for (const Part& part : parts) {
+  for (const PatchPart& part : parts) {
     if (part.is_base) {
       ops->PutU8(kPartBase);
       ops->PutU64(part.off);
@@ -277,6 +228,86 @@ bool EmitPatchOp(const SnapshotUnit& u, std::string_view next,
     }
   }
   return true;
+}
+
+/// Window units are [8-byte key][u32 count][count fixed 16-byte (position,
+/// value) entries], oldest first.
+constexpr size_t kWindowHeader = 12;
+constexpr size_t kWindowEntry = 16;
+
+bool IsWindowSection(uint8_t section) {
+  return section == kSectionBenefitWindow ||
+         section == kSectionInteractionWindow;
+}
+
+/// Entry count of a well-formed window unit of `len` bytes, or -1.
+int64_t WindowEntries(uint64_t len) {
+  if (len < kWindowHeader || (len - kWindowHeader) % kWindowEntry != 0) {
+    return -1;
+  }
+  return static_cast<int64_t>((len - kWindowHeader) / kWindowEntry);
+}
+
+/// Ring-shift patch for a changed window unit: a window is a bounded ring
+/// whose entries never change once recorded (positions strictly increase),
+/// so the new unit is [header][base entries minus the k oldest][appended
+/// entries]. The base's newest entry (`base_newest`, its 16 bytes) locates
+/// the shift in `next`; the base's entry count is `base_entries`. Ships
+/// the header + appended entries. Correctness never rests on the match:
+/// the delta's self CRC verifies the reconstruction end to end.
+bool EmitRingShiftOp(const SnapshotUnit& u, std::string_view next,
+                     int64_t base_entries, std::string_view base_newest,
+                     Encoder* ops) {
+  const int64_t nn = WindowEntries(next.size());
+  if (nn < 1 || base_entries < 1 || base_newest.size() != kWindowEntry) {
+    return false;
+  }
+  const uint64_t newest_pos = ReadU64Le(base_newest);
+  for (int64_t j = 0; j < nn; ++j) {
+    std::string_view entry =
+        next.substr(kWindowHeader + kWindowEntry * j, kWindowEntry);
+    if (ReadU64Le(entry) > newest_pos) break;  // positions ascend
+    if (entry != base_newest) continue;
+    const int64_t surviving = j + 1;
+    if (surviving > base_entries) return false;
+    const uint64_t k = static_cast<uint64_t>(base_entries - surviving);
+    const uint64_t kept = kWindowEntry * static_cast<uint64_t>(surviving);
+    std::vector<PatchPart> parts;
+    parts.push_back({0, 0, next.substr(0, kWindowHeader), false});
+    parts.push_back({kWindowHeader + kWindowEntry * k, kept, {}, true});
+    if (kWindowHeader + kept < next.size()) {
+      parts.push_back({0, 0, next.substr(kWindowHeader + kept), false});
+    }
+    return EmitPatchParts(u, next.size(), parts, ops);
+  }
+  return false;
+}
+
+/// Tries to express the changed non-window unit `next` as a patch over
+/// `base_unit`: longest common prefix + suffix, for anything with a stable
+/// region (the RNG stream text between twists, a part whose recommendation
+/// changed but whose work values did not, ...). Emits a kOpPatch and
+/// returns true only when it ships materially fewer bytes than kOpData
+/// would; correctness never depends on the match.
+bool EmitPatchOp(const SnapshotUnit& u, std::string_view next,
+                 std::string_view base_unit, Encoder* ops) {
+  size_t p = 0;
+  const size_t max_common = std::min(base_unit.size(), next.size());
+  while (p < max_common && base_unit[p] == next[p]) ++p;
+  size_t s = 0;
+  const size_t max_suffix = max_common - p;
+  while (s < max_suffix &&
+         base_unit[base_unit.size() - 1 - s] == next[next.size() - 1 - s]) {
+    ++s;
+  }
+  if (p + s < 48) return false;  // shared region under the op overhead
+  std::vector<PatchPart> parts;
+  if (p > 0) parts.push_back({0, p, {}, true});
+  if (p + s < next.size()) {
+    parts.push_back({0, 0, next.substr(p, next.size() - s - p), false});
+  }
+  if (s > 0) parts.push_back({base_unit.size() - s, s, {}, true});
+  return EmitPatchParts(u, next.size(), parts, ops);
 }
 
 }  // namespace
@@ -464,17 +495,25 @@ Status DeltaCheckpointer::Rebase(std::string_view payload,
                                  const std::vector<SnapshotUnit>& units,
                                  uint64_t analyzed) {
   sigs_.clear();
+  sigs_.reserve(units.size());
+  base_bytes_.clear();
   pool_defs_crc_ = 0;
   pool_unit_len_ = 0;
   base_kind_ = 0;
   base_repartitions_ = 0;
   for (const SnapshotUnit& u : units) {
     std::string_view bytes = payload.substr(u.offset, u.len);
-    auto [it, inserted] = sigs_.insert(
-        {{u.section, u.key}, UnitSig{Crc32(bytes), u.len, u.offset}});
-    if (!inserted) {
-      return Status::InvalidArgument("delta: duplicate unit key");
+    // Window units keep only their newest entry (the ring-shift anchor);
+    // every other unit keeps its bytes for prefix/suffix patches.
+    std::string_view kept = bytes;
+    if (IsWindowSection(u.section)) {
+      kept = WindowEntries(u.len) >= 1
+                 ? bytes.substr(bytes.size() - kWindowEntry)
+                 : std::string_view();
     }
+    sigs_.push_back(UnitSig{u.key, u.len, base_bytes_.size(), kept.size(),
+                            Crc32(bytes), u.section});
+    base_bytes_.append(kept);
     if (u.section == kSectionPool && u.len >= 4) {
       pool_defs_crc_ = Crc32(bytes.substr(4));
       pool_unit_len_ = u.len;
@@ -489,11 +528,33 @@ Status DeltaCheckpointer::Rebase(std::string_view payload,
       base_repartitions_ = ReadU64Le(bytes);
     }
   }
+  std::sort(sigs_.begin(), sigs_.end(), [](const UnitSig& a,
+                                           const UnitSig& b) {
+    return std::pair(a.section, a.key) < std::pair(b.section, b.key);
+  });
+  for (size_t i = 1; i < sigs_.size(); ++i) {
+    if (sigs_[i - 1].section == sigs_[i].section &&
+        sigs_[i - 1].key == sigs_[i].key) {
+      return Status::InvalidArgument("delta: duplicate unit key");
+    }
+  }
+  base_bytes_.shrink_to_fit();
   base_analyzed_ = analyzed;
   base_crc_ = Crc32(payload);
-  base_payload_len_ = payload.size();
-  base_payload_.assign(payload.data(), payload.size());
   return Status::Ok();
+}
+
+const DeltaCheckpointer::UnitSig* DeltaCheckpointer::FindSig(
+    uint8_t section, uint64_t key) const {
+  auto it = std::lower_bound(
+      sigs_.begin(), sigs_.end(), std::pair(section, key),
+      [](const UnitSig& sig, const std::pair<uint8_t, uint64_t>& want) {
+        return std::pair(sig.section, sig.key) < want;
+      });
+  if (it == sigs_.end() || it->section != section || it->key != key) {
+    return nullptr;
+  }
+  return &*it;
 }
 
 Status DeltaCheckpointer::Seed(std::string payload, uint64_t root_analyzed,
@@ -519,10 +580,9 @@ void DeltaCheckpointer::Reset() {
   root_analyzed_ = 0;
   base_analyzed_ = 0;
   base_crc_ = 0;
-  base_payload_len_ = 0;
   deltas_in_chain_ = 0;
   sigs_.clear();
-  base_payload_.clear();
+  base_bytes_.clear();
   pool_defs_crc_ = 0;
   pool_unit_len_ = 0;
   base_kind_ = 0;
@@ -548,10 +608,9 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
     for (const SnapshotUnit& u : units) {
       std::string_view bytes =
           std::string_view(payload).substr(u.offset, u.len);
-      auto it = sigs_.find({u.section, u.key});
-      const bool unchanged = it != sigs_.end() &&
-                             it->second.len == u.len &&
-                             it->second.crc == Crc32(bytes);
+      const UnitSig* sig = FindSig(u.section, u.key);
+      const bool unchanged =
+          sig != nullptr && sig->len == u.len && sig->crc == Crc32(bytes);
       if (u.section == kSectionTunerHeader || u.section == kSectionCandidates) {
         if (!unchanged) {
           // Structural change: repartitioned part layout or candidate
@@ -591,11 +650,15 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
         ops.PutString(bytes.substr(pool_unit_len_));
         continue;
       }
-      if (it != sigs_.end() && !base_payload_.empty()) {
-        std::string_view base_unit = std::string_view(base_payload_)
-                                         .substr(it->second.offset,
-                                                 it->second.len);
-        if (EmitPatchOp(u, bytes, base_unit, &ops)) {
+      if (sig != nullptr) {
+        std::string_view kept = std::string_view(base_bytes_)
+                                    .substr(sig->kept_offset, sig->kept_len);
+        const bool patched =
+            IsWindowSection(u.section)
+                ? EmitRingShiftOp(u, bytes, WindowEntries(sig->len), kept,
+                                  &ops)
+                : EmitPatchOp(u, bytes, kept, &ops);
+        if (patched) {
           ++op_count;
           continue;
         }

@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -144,29 +143,39 @@ class DeltaCheckpointer {
   uint64_t deltas_in_chain() const { return deltas_in_chain_; }
 
  private:
+  /// One unit of the base payload: its identity, length and CRC, and the
+  /// base bytes kept for patching it (a slice of base_bytes_).
   struct UnitSig {
-    uint32_t crc = 0;
+    uint64_t key = 0;
     uint64_t len = 0;
-    /// Offset of the unit inside base_payload_ (patch ops copy ranges).
-    uint64_t offset = 0;
+    uint64_t kept_offset = 0;
+    uint64_t kept_len = 0;
+    uint32_t crc = 0;
+    uint8_t section = 0;
   };
 
   /// Installs `payload` as the new diff base.
   Status Rebase(std::string_view payload,
                 const std::vector<SnapshotUnit>& units, uint64_t analyzed);
 
+  /// The base unit (section, key), or nullptr.
+  const UnitSig* FindSig(uint8_t section, uint64_t key) const;
+
   Options options_;
   bool seeded_ = false;
-  /// The previous checkpoint's canonical payload: patch ops diff against
-  /// its bytes, not just unit CRCs. One payload per open tuner (~tens of
-  /// KB) — the price of shipping 4 window entries instead of 800 bytes.
-  std::string base_payload_;
+  /// What patch ops need of the previous checkpoint's canonical payload:
+  /// every non-window unit's bytes (prefix/suffix patches), and only the
+  /// newest entry of each selector window (the ring-shift anchor). The
+  /// windows are nearly all of the payload, so this is a small fraction
+  /// of it — a full copy per open tuner would double the memory its
+  /// statistics take.
+  std::string base_bytes_;
   uint64_t root_analyzed_ = 0;
   uint64_t base_analyzed_ = 0;   // chain tail
   uint32_t base_crc_ = 0;        // chain tail payload CRC
-  uint64_t base_payload_len_ = 0;
   uint64_t deltas_in_chain_ = 0;
-  std::map<std::pair<uint8_t, uint64_t>, UnitSig> sigs_;
+  /// Sorted by (section, key).
+  std::vector<UnitSig> sigs_;
   /// Pool-append support: CRC/length of the base pool unit's definition
   /// bytes (count prefix excluded), so an append-only-grown pool ships
   /// only the new definitions.

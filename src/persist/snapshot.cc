@@ -89,19 +89,20 @@ Status DecodePool(Decoder* d, IndexPool* pool) {
 
 // --- windowed statistics ------------------------------------------------
 
-void EncodeWindows(
-    const std::vector<std::pair<uint64_t, std::vector<std::pair<uint64_t, double>>>>&
-        windows,
-    Encoder* e) {
+/// Encodes one statistic's windows in place: u32 count, then per window
+/// (key order) the key as a u64, u32 entry count and the (position, value)
+/// entries oldest first.
+template <typename Key>
+void EncodeWindows(const RecencyWindowMap<Key>& windows, Encoder* e) {
   e->PutU32(static_cast<uint32_t>(windows.size()));
-  for (const auto& [key, entries] : windows) {
+  windows.ForEachSorted([e](Key key, const RecencyRing& ring) {
     e->PutU64(key);
-    e->PutU32(static_cast<uint32_t>(entries.size()));
-    for (const auto& [n, v] : entries) {
+    e->PutU32(static_cast<uint32_t>(ring.size()));
+    ring.ForEachEntry([e](uint64_t n, double v) {
       e->PutU64(n);
       e->PutDouble(v);
-    }
-  }
+    });
+  });
 }
 
 Status DecodeWindows(
@@ -138,18 +139,22 @@ Status DecodeWindows(
   return Status::Ok();
 }
 
-void EncodeSelector(const SelectorState& s, Encoder* e) {
+/// `s` carries the selector's scalar state (exported without windows);
+/// the windows are read in place from `selector`.
+void EncodeSelector(const SelectorState& s, const CandidateSelector& selector,
+                    Encoder* e) {
+  const auto& benefit = selector.benefit_stats().windows();
+  const auto& interaction = selector.interaction_stats().windows();
+  // The windows are nearly all of a WFIT payload: size the buffer for them
+  // (plus the overload trailer's fixed part) in one step.
+  e->Reserve(4 + 4 * s.universe.size() + 8 + 4 + s.rng_state.size() + 4 +
+             12 * benefit.size() + 16 * benefit.entries() + 4 +
+             12 * interaction.size() + 16 * interaction.entries() + 32);
   e->PutIndexSet(s.universe);
   e->PutU64(s.position);
   e->PutString(s.rng_state);
-  std::vector<std::pair<uint64_t, std::vector<std::pair<uint64_t, double>>>>
-      benefit;
-  benefit.reserve(s.benefit_windows.size());
-  for (const auto& [id, entries] : s.benefit_windows) {
-    benefit.emplace_back(id, entries);
-  }
   EncodeWindows(benefit, e);
-  EncodeWindows(s.interaction_windows, e);
+  EncodeWindows(interaction, e);
 }
 
 Status DecodeSelector(Decoder* d, SelectorState* out) {
@@ -211,7 +216,7 @@ Status DecodeParts(Decoder* d, std::vector<std::vector<IndexId>>* members,
 
 Status EncodeTuner(const Tuner& tuner, Encoder* e) {
   if (const Wfit* wfit = dynamic_cast<const Wfit*>(&tuner)) {
-    WfitState state = wfit->ExportState();
+    WfitState state = wfit->ExportState(/*include_windows=*/false);
     e->PutU8(kTunerWfit);
     EncodeParts(state.instance_members, state.work_values,
                 state.current_recs, e);
@@ -219,7 +224,7 @@ Status EncodeTuner(const Tuner& tuner, Encoder* e) {
     e->PutIndexSet(state.initial_materialized);
     e->PutU64(state.repartitions);
     e->PutU64(state.feedback_events);
-    EncodeSelector(state.selector, e);
+    EncodeSelector(state.selector, wfit->selector(), e);
     return Status::Ok();
   }
   if (const WfaPlus* wfa = dynamic_cast<const WfaPlus*>(&tuner)) {

@@ -81,15 +81,14 @@ SnapshotMeta MetaAt(uint64_t analyzed, uint64_t lsn) {
   return meta;
 }
 
+/// Statements in the chain fixture's workload.
+constexpr size_t kWorkloadLen = 320;
+
 /// Fixture state for a chain-building run: one tuner advanced through a
-/// deterministic workload, checkpointed at chosen points. Chain tests
-/// checkpoint past statement ~100: by then this workload's candidate set
-/// and part layout are stable, so checkpoints diff as deltas instead of
-/// being (correctly) forced full by structural change. The early churny
-/// region is what FullForcedEveryKDeltas-style tests would trip over.
+/// deterministic workload, checkpointed at chosen points.
 struct ChainRun {
   ChainRun() : tuner(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions()) {
-    workload = BuildWorkload(db, 220);
+    workload = BuildWorkload(db, kWorkloadLen);
   }
   void AdvanceTo(size_t n) {
     while (at < n) tuner.AnalyzeQuery(workload[at++]);
@@ -100,6 +99,36 @@ struct ChainRun {
   size_t at = 0;
 };
 
+/// Chain tests checkpoint inside a stretch of kStableSpan statements in
+/// which the tuner does not repartition, so checkpoints diff as deltas
+/// instead of being (correctly) forced full by structural change (the
+/// repartition count is the delta writer's structural-change signal).
+/// StableStart() is the first statement count B >= 100 after which the
+/// next kStableSpan statements keep RepartitionCount(); it is derived from
+/// a reference run rather than pinned, because where this workload's
+/// partition settles depends on the tuner's numerics. The early churny
+/// region is what FullForcedEveryKDeltas-style tests would trip over.
+constexpr size_t kStableSpan = 24;
+/// Statements a test may replay past the end of the stretch.
+constexpr size_t kReplayTail = 76;
+
+size_t StableStart() {
+  static const size_t start = [] {
+    ChainRun run;
+    std::vector<uint64_t> reps = {run.tuner.RepartitionCount()};
+    for (size_t n = 1; n <= kWorkloadLen; ++n) {
+      run.AdvanceTo(n);
+      reps.push_back(run.tuner.RepartitionCount());
+    }
+    for (size_t b = 100; b + kStableSpan + kReplayTail <= kWorkloadLen; ++b) {
+      if (reps[b] == reps[b + kStableSpan]) return b;
+    }
+    return size_t{0};
+  }();
+  EXPECT_NE(start, 0u) << "no repartition-free stretch in the workload";
+  return start;
+}
+
 // --- the chain rule, pinned before deltas exist --------------------------
 
 // A corrupt *full* snapshot must invalidate every delta chained to it: the
@@ -109,56 +138,57 @@ struct ChainRun {
 // garbage or, worse, a plausible-but-divergent trajectory.
 TEST(DeltaChainTest, CorruptFullSnapshotInvalidatesChainedDeltas) {
   const std::string dir = FreshDir("corrupt_base");
+  const size_t b = StableStart();
   ChainRun run;
 
   DeltaCheckpointer::Options copts;
   copts.full_every = 100;  // never force a full mid-test
   DeltaCheckpointer cp(copts);
 
-  // Chain 0: a full snapshot at 104 (the fallback target).
-  run.AdvanceTo(104);
-  auto r0 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(104, 104));
+  // Chain 0: a full snapshot at b+4 (the fallback target).
+  run.AdvanceTo(b + 4);
+  auto r0 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 4, b + 4));
   ASSERT_TRUE(r0.ok()) << r0.status().ToString();
   EXPECT_TRUE(r0->wrote_full);
 
-  // Chain 1: full at 112, deltas at 118 and 124.
+  // Chain 1: full at b+12, deltas at b+18 and b+24.
   cp.Reset();
-  run.AdvanceTo(112);
-  auto r1 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(112, 112));
+  run.AdvanceTo(b + 12);
+  auto r1 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 12, b + 12));
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_TRUE(r1->wrote_full);
-  run.AdvanceTo(118);
-  auto r2 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(118, 118));
+  run.AdvanceTo(b + 18);
+  auto r2 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 18, b + 18));
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_FALSE(r2->wrote_full);
-  run.AdvanceTo(124);
-  auto r3 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(124, 124));
+  run.AdvanceTo(b + 24);
+  auto r3 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 24, b + 24));
   ASSERT_TRUE(r3.ok()) << r3.status().ToString();
   EXPECT_FALSE(r3->wrote_full);
 
   // Damage chain 1's full snapshot (payload byte flip).
   std::vector<std::string> fulls = ListSnapshots(dir);
-  ASSERT_EQ(fulls.size(), 2u);  // newest first: 112, 104
+  ASSERT_EQ(fulls.size(), 2u);  // newest first: b+12, b+4
   FlipByte(fulls[0], 0);
 
-  // The loader must land on the chain-0 full at 104 — NOT on a delta of
+  // The loader must land on the chain-0 full at b+4 — NOT on a delta of
   // the damaged chain, even though those files are newer and intact.
   TestDb db2;
   Wfit restored(&db2.pool(), &db2.optimizer(), IndexSet{}, FastOptions());
   SnapshotLoadResult loaded =
       LoadLatestCheckpoint(dir, &restored, &db2.pool(), nullptr);
   ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.meta.analyzed, 104u);
+  EXPECT_EQ(loaded.meta.analyzed, b + 4);
   EXPECT_EQ(loaded.deltas_applied, 0u);
   EXPECT_GE(loaded.skipped, 1u);
 
-  // And the restored state really is the statement-104 state: a reference
-  // run advanced to 104 continues bit-identically with it.
+  // And the restored state really is the statement-(b+4) state: a
+  // reference run advanced to b+4 continues bit-identically with it.
   ChainRun ref;
-  ref.AdvanceTo(104);
+  ref.AdvanceTo(b + 4);
   EXPECT_EQ(restored.Recommendation(), ref.tuner.Recommendation());
-  Workload w2 = BuildWorkload(db2, 220);
-  for (size_t i = 104; i < 180; ++i) {
+  Workload w2 = BuildWorkload(db2, kWorkloadLen);
+  for (size_t i = b + 4; i < b + 80; ++i) {
     ref.tuner.AnalyzeQuery(ref.workload[i]);
     restored.AnalyzeQuery(w2[i]);
   }
@@ -170,17 +200,18 @@ TEST(DeltaChainTest, CorruptFullSnapshotInvalidatesChainedDeltas) {
 
 TEST(DeltaChainTest, FullPlusDeltasRestoreTheChainTailExactly) {
   const std::string dir = FreshDir("roundtrip");
+  const size_t b = StableStart();
   ChainRun run;
 
   DeltaCheckpointer cp;
-  run.AdvanceTo(104);
-  auto rf = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(104, 104));
+  run.AdvanceTo(b + 4);
+  auto rf = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 4, b + 4));
   ASSERT_TRUE(rf.ok());
   EXPECT_TRUE(rf->wrote_full);
   const uint64_t full_bytes = rf->bytes;
 
-  run.AdvanceTo(110);
-  auto rd1 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(110, 110));
+  run.AdvanceTo(b + 10);
+  auto rd1 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 10, b + 10));
   ASSERT_TRUE(rd1.ok());
   EXPECT_FALSE(rd1->wrote_full);
   // Deltas must pay for themselves: a 6-statement gap in this fixture
@@ -188,8 +219,8 @@ TEST(DeltaChainTest, FullPlusDeltasRestoreTheChainTailExactly) {
   // ring-shift patch ops buy.
   EXPECT_LT(rd1->bytes, full_bytes / 2);
 
-  run.AdvanceTo(116);
-  auto rd2 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(116, 116));
+  run.AdvanceTo(b + 16);
+  auto rd2 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 16, b + 16));
   ASSERT_TRUE(rd2.ok());
   EXPECT_FALSE(rd2->wrote_full);
 
@@ -198,16 +229,16 @@ TEST(DeltaChainTest, FullPlusDeltasRestoreTheChainTailExactly) {
   SnapshotLoadResult loaded =
       LoadLatestCheckpoint(dir, &restored, &db2.pool(), nullptr);
   ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.meta.analyzed, 116u);
-  EXPECT_EQ(loaded.meta.journal_lsn, 116u);
+  EXPECT_EQ(loaded.meta.analyzed, b + 16);
+  EXPECT_EQ(loaded.meta.journal_lsn, b + 16);
   EXPECT_EQ(loaded.deltas_applied, 2u);
   EXPECT_EQ(loaded.skipped, 0u);
 
   // Bit-for-bit: the reconstructed chain tail continues identically.
   EXPECT_EQ(restored.Recommendation(), run.tuner.Recommendation());
   EXPECT_EQ(restored.FeedbackCount(), run.tuner.FeedbackCount());
-  Workload w2 = BuildWorkload(db2, 220);
-  for (size_t i = 116; i < 200; ++i) {
+  Workload w2 = BuildWorkload(db2, kWorkloadLen);
+  for (size_t i = b + 16; i < b + 100; ++i) {
     run.tuner.AnalyzeQuery(run.workload[i]);
     restored.AnalyzeQuery(w2[i]);
   }
@@ -218,17 +249,16 @@ TEST(DeltaChainTest, FullPlusDeltasRestoreTheChainTailExactly) {
 
 TEST(DeltaChainTest, CorruptDeltaTruncatesTheChainThere) {
   const std::string dir = FreshDir("corrupt_delta");
+  const size_t b = StableStart();
   ChainRun run;
 
   DeltaCheckpointer cp;
-  run.AdvanceTo(104);
-  ASSERT_TRUE(cp.Write(dir, run.tuner, run.db.pool(), MetaAt(104, 104)).ok());
-  run.AdvanceTo(110);
-  ASSERT_TRUE(cp.Write(dir, run.tuner, run.db.pool(), MetaAt(110, 110)).ok());
-  run.AdvanceTo(116);
-  ASSERT_TRUE(cp.Write(dir, run.tuner, run.db.pool(), MetaAt(116, 116)).ok());
+  for (size_t n : {b + 4, b + 10, b + 16}) {
+    run.AdvanceTo(n);
+    ASSERT_TRUE(cp.Write(dir, run.tuner, run.db.pool(), MetaAt(n, n)).ok());
+  }
 
-  // Damage the *newest* delta: the chain prefix (full@104 + delta@110)
+  // Damage the *newest* delta: the chain prefix (full@b+4 + delta@b+10)
   // must still restore.
   std::vector<std::string> deltas = ListDeltas(dir);
   ASSERT_EQ(deltas.size(), 2u);
@@ -239,24 +269,25 @@ TEST(DeltaChainTest, CorruptDeltaTruncatesTheChainThere) {
   SnapshotLoadResult loaded =
       LoadLatestCheckpoint(dir, &restored, &db2.pool(), nullptr);
   ASSERT_TRUE(loaded.loaded);
-  EXPECT_EQ(loaded.meta.analyzed, 110u);
+  EXPECT_EQ(loaded.meta.analyzed, b + 10);
   EXPECT_EQ(loaded.deltas_applied, 1u);
   EXPECT_GE(loaded.skipped, 1u);
 
   ChainRun ref;
-  ref.AdvanceTo(110);
+  ref.AdvanceTo(b + 10);
   EXPECT_EQ(restored.Recommendation(), ref.tuner.Recommendation());
 }
 
 TEST(DeltaChainTest, FullForcedEveryKDeltas) {
   const std::string dir = FreshDir("full_every");
+  const size_t b = StableStart();
   ChainRun run;
 
   DeltaCheckpointer::Options copts;
   copts.full_every = 2;
   DeltaCheckpointer cp(copts);
   size_t fulls = 0;
-  for (size_t n = 100; n <= 124; n += 4) {
+  for (size_t n = b; n <= b + 24; n += 4) {
     run.AdvanceTo(n);
     auto r = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(n, n));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -268,13 +299,14 @@ TEST(DeltaChainTest, FullForcedEveryKDeltas) {
 
 TEST(DeltaChainTest, SeededCheckpointerContinuesTheChainAcrossRestart) {
   const std::string dir = FreshDir("seeded");
+  const size_t b = StableStart();
   ChainRun run;
 
   DeltaCheckpointer cp;
-  run.AdvanceTo(104);
-  ASSERT_TRUE(cp.Write(dir, run.tuner, run.db.pool(), MetaAt(104, 104)).ok());
-  run.AdvanceTo(110);
-  ASSERT_TRUE(cp.Write(dir, run.tuner, run.db.pool(), MetaAt(110, 110)).ok());
+  for (size_t n : {b + 4, b + 10}) {
+    run.AdvanceTo(n);
+    ASSERT_TRUE(cp.Write(dir, run.tuner, run.db.pool(), MetaAt(n, n)).ok());
+  }
 
   // "Restart": load with a fresh checkpointer, advance, checkpoint again —
   // the new checkpoint must be a delta on the restored chain, not a full.
@@ -287,20 +319,20 @@ TEST(DeltaChainTest, SeededCheckpointerContinuesTheChainAcrossRestart) {
   ASSERT_TRUE(cp2.seeded());
   EXPECT_EQ(cp2.deltas_in_chain(), 1u);
 
-  Workload w2 = BuildWorkload(db2, 220);
-  for (size_t i = 110; i < 116; ++i) restored.AnalyzeQuery(w2[i]);
-  auto r = cp2.Write(dir, restored, db2.pool(), MetaAt(116, 116));
+  Workload w2 = BuildWorkload(db2, kWorkloadLen);
+  for (size_t i = b + 10; i < b + 16; ++i) restored.AnalyzeQuery(w2[i]);
+  auto r = cp2.Write(dir, restored, db2.pool(), MetaAt(b + 16, b + 16));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(r->wrote_full);
 
-  // The extended chain still restores to the exact statement-116 state.
-  run.AdvanceTo(116);
+  // The extended chain still restores to the exact statement-(b+16) state.
+  run.AdvanceTo(b + 16);
   TestDb db3;
   Wfit again(&db3.pool(), &db3.optimizer(), IndexSet{}, FastOptions());
   SnapshotLoadResult l3 = LoadLatestCheckpoint(dir, &again, &db3.pool(),
                                                nullptr);
   ASSERT_TRUE(l3.loaded);
-  EXPECT_EQ(l3.meta.analyzed, 116u);
+  EXPECT_EQ(l3.meta.analyzed, b + 16);
   EXPECT_EQ(l3.deltas_applied, 2u);
   EXPECT_EQ(again.Recommendation(), run.tuner.Recommendation());
   EXPECT_EQ(again.TotalStates(), run.tuner.TotalStates());
@@ -339,25 +371,26 @@ TEST(DeltaChainTest, PruneDropsOrphanedDeltasWithTheirChain) {
 
 TEST(DeltaChainTest, CoverLsnRequiresTwoDurableFulls) {
   const std::string dir = FreshDir("cover");
+  const size_t b = StableStart();
   ChainRun run;
 
   DeltaCheckpointer::Options copts;
   copts.full_every = 1;
   DeltaCheckpointer cp(copts);
-  run.AdvanceTo(104);
-  auto r1 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(104, 100));
+  run.AdvanceTo(b + 4);
+  auto r1 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 4, 100));
   ASSERT_TRUE(r1.ok());
   // One full: nothing compactable yet (a lone snapshot's failure would
   // otherwise orphan the journal prefix).
   EXPECT_EQ(r1->cover_lsn, 0u);
 
-  run.AdvanceTo(108);
-  auto r2 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(108, 150));
+  run.AdvanceTo(b + 8);
+  auto r2 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 8, 150));
   ASSERT_TRUE(r2.ok());
   EXPECT_FALSE(r2->wrote_full);  // first delta of the chain
   EXPECT_EQ(r2->cover_lsn, 0u);  // deltas never advance the horizon
-  run.AdvanceTo(112);
-  auto r3 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(112, 200));
+  run.AdvanceTo(b + 12);
+  auto r3 = cp.Write(dir, run.tuner, run.db.pool(), MetaAt(b + 12, 200));
   ASSERT_TRUE(r3.ok());
   ASSERT_TRUE(r3->wrote_full);
   // Retained full snapshots are now lsn 100 and lsn 200: records below

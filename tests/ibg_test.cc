@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "tests/test_util.h"
 
 namespace wfit {
@@ -115,6 +118,46 @@ TEST(IbgTest, MaxBenefitDominatesSampledContexts) {
           << "bit=" << bit << " ctx=" << ctx;
     }
   }
+}
+
+TEST(IbgTest, MaxBenefitMatchesCostOfEnumerationBeyondTheDenseDomain) {
+  // 13-16 plan-relevant indices (and a maintenance-heavy update): bits
+  // above the dense enumeration domain, and contexts that include the
+  // lowest of them, read the IBG's per-bit slabs. The reference enumerates
+  // β's definition through BenefitOf in the same order: exact doubles.
+  TestDb db;
+  const std::vector<IndexId> wide = testing::BeyondDomainCandidates(db);
+  const std::vector<Statement> statements = {
+      db.Bind(testing::kBeyondDomainJoin),
+      db.Bind("UPDATE t1 SET a = a + 1 WHERE b BETWEEN 0 AND 100 AND c = 4"),
+  };
+  int beyond = 0;
+  for (const Statement& q : statements) {
+    for (size_t take = 17; take <= 20; ++take) {
+      std::vector<IndexId> cands(wide.begin(), wide.begin() + take);
+      IndexBenefitGraph ibg(q, db.optimizer(), cands);
+      const Mask relevant = ibg.relevant_used();
+      if (PopCount(relevant) > IndexBenefitGraph::kMaxEnumerationBits) {
+        ++beyond;
+      }
+      for (int bit = 0; bit < static_cast<int>(take); ++bit) {
+        const Mask self = Mask{1} << bit;
+        double brute = -std::numeric_limits<double>::infinity();
+        if ((relevant & self) == 0) {
+          brute = ibg.BenefitOf(bit, 0);
+        } else {
+          const Mask universe = KeepLowestBits(
+              relevant & ~self, IndexBenefitGraph::kMaxEnumerationBits);
+          for (SubmaskIterator it(universe); !it.done(); it.Next()) {
+            brute = std::max(brute, ibg.BenefitOf(bit, it.mask()));
+          }
+        }
+        EXPECT_EQ(ibg.MaxBenefit(bit), brute)
+            << q.sql << " take=" << take << " bit=" << bit;
+      }
+    }
+  }
+  EXPECT_EQ(beyond, 8);
 }
 
 TEST(IbgTest, ToMaskToSetRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "tests/test_util.h"
 
 namespace wfit {
@@ -109,6 +112,45 @@ TEST(InteractionsTest, DoiMatchesBruteForceDefinition) {
     brute = std::max(brute, std::abs(v));
   }
   EXPECT_NEAR(doi, brute, 1e-6 * std::max(1.0, brute));
+}
+
+TEST(InteractionsTest, DoiMatchesCostOfEnumerationBeyondTheDenseDomain) {
+  // 13-16 plan-relevant indices: pairs with one or both bits above the
+  // IBG's dense enumeration domain read its per-bit slabs (and descents).
+  // The reference is the definition enumerated through CostOf, in the same
+  // context order and expression order, so the doubles match exactly.
+  TestDb db;
+  Statement q = db.Bind(testing::kBeyondDomainJoin);
+  const std::vector<IndexId> wide = testing::BeyondDomainCandidates(db);
+  std::vector<int> relevant_counts;
+  for (size_t take = 17; take <= 20; ++take) {
+    std::vector<IndexId> cands(wide.begin(), wide.begin() + take);
+    IndexBenefitGraph ibg(q, db.optimizer(), cands);
+    const Mask relevant = ibg.relevant_used();
+    relevant_counts.push_back(PopCount(relevant));
+    for (int a = 0; a < static_cast<int>(take); ++a) {
+      for (int b = 0; b < static_cast<int>(take); ++b) {
+        if (a == b) continue;
+        const Mask ma = Mask{1} << a;
+        const Mask mb = Mask{1} << b;
+        double brute = 0.0;
+        if ((relevant & ma) != 0 && (relevant & mb) != 0) {
+          const Mask universe =
+              KeepLowestBits(relevant & ~(ma | mb),
+                             IndexBenefitGraph::kMaxEnumerationBits - 2);
+          for (SubmaskIterator it(universe); !it.done(); it.Next()) {
+            const Mask x = it.mask();
+            double v = ibg.CostOf(x) - ibg.CostOf(x | ma) -
+                       ibg.CostOf(x | mb) + ibg.CostOf(x | ma | mb);
+            brute = std::max(brute, std::abs(v));
+          }
+        }
+        EXPECT_EQ(DegreeOfInteraction(ibg, a, b), brute)
+            << "take=" << take << " a=" << a << " b=" << b;
+      }
+    }
+  }
+  EXPECT_EQ(relevant_counts, (std::vector<int>{13, 14, 15, 16}));
 }
 
 TEST(InteractionsDeathTest, SelfInteractionAborts) {

@@ -113,6 +113,33 @@ class TestDb {
   std::unique_ptr<Binder> binder_;
 };
 
+/// 25 single- and two-column candidates over t1 and t2. Over a prefix of
+/// 17-20 of them, kBeyondDomainJoin's IBG has 13-16 plan-relevant indices,
+/// more than the IBG's dense enumeration domain (kMaxEnumerationBits).
+inline std::vector<IndexId> BeyondDomainCandidates(TestDb& db) {
+  std::vector<IndexId> out;
+  const std::vector<std::string> t1 = {"a", "b", "c", "k"};
+  const std::vector<std::string> t2 = {"x", "y", "fk"};
+  for (const std::string& x : t1) out.push_back(db.Ix("t1", {x}));
+  for (const std::string& x : t1) {
+    for (const std::string& y : t1) {
+      if (x != y) out.push_back(db.Ix("t1", {x, y}));
+    }
+  }
+  for (const std::string& x : t2) out.push_back(db.Ix("t2", {x}));
+  for (const std::string& x : t2) {
+    for (const std::string& y : t2) {
+      if (x != y && out.size() < 25) out.push_back(db.Ix("t2", {x, y}));
+    }
+  }
+  return out;
+}
+
+inline constexpr const char* kBeyondDomainJoin =
+    "SELECT count(*) FROM t1, t2 WHERE t1.k = t2.fk AND t1.a BETWEEN 0 AND "
+    "300 AND t1.b BETWEEN 0 AND 150 AND t1.c = 3 AND t2.x BETWEEN 0 AND 30 "
+    "AND t2.y = 4";
+
 }  // namespace wfit::testing
 
 #endif  // WFIT_TESTS_TEST_UTIL_H_
