@@ -64,15 +64,13 @@ std::vector<IndexId> CandidateSelector::TopIndices(
   return out;
 }
 
-SelectorState CandidateSelector::ExportState(bool include_windows) const {
+SelectorState CandidateSelector::ExportState() const {
   SelectorState state;
   state.universe = universe_;
   state.position = position_;
   state.rng_state = rng_.SaveState();
-  if (include_windows) {
-    state.benefit_windows = idx_stats_.Export();
-    state.interaction_windows = int_stats_.Export();
-  }
+  state.benefit_windows = idx_stats_.Export();
+  state.interaction_windows = int_stats_.Export();
   return state;
 }
 

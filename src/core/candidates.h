@@ -103,15 +103,14 @@ class CandidateSelector {
   const IndexSet& universe() const { return universe_; }
   const BenefitStats& benefit_stats() const { return idx_stats_; }
   const InteractionStats& interaction_stats() const { return int_stats_; }
+  /// Rng::SaveState text of the partition-search engine (persist/).
+  std::string rng_state() const { return rng_.SaveState(); }
 
   /// Snapshot hooks (persist/): ExportState captures, RestoreState replaces
   /// the selector's mutable state. Restoring fails (InvalidArgument, state
   /// untouched except already-restored windows) only on an unparseable RNG
-  /// state. Options and seed stay with the constructor. Without
-  /// `include_windows` the windows are left out: the snapshot encoder
-  /// reads them in place (benefit_stats().windows(), ...) rather than
-  /// copying every window on every checkpoint.
-  SelectorState ExportState(bool include_windows = true) const;
+  /// state. Options and seed stay with the constructor.
+  SelectorState ExportState() const;
   Status RestoreState(const SelectorState& state);
 
  private:

@@ -15,7 +15,7 @@ void RecencyRing::Swap(RecencyRing* other) {
 
 void RecencyRing::Record(uint32_t hist_size, uint64_t n, double value) {
   WFIT_CHECK(size_ == 0 || buf_[newest_].n <= n,
-             "RecencyWindow positions must be non-decreasing");
+             "RecencyRing positions must be non-decreasing");
   if (hist_size == 0) return;  // history disabled: window stays empty
   if (size_ < hist_size) {
     // Exact capacity: grow by one entry (in place when the heap allows).
@@ -59,7 +59,7 @@ void RecencyRing::Restore(
     const std::vector<std::pair<uint64_t, double>>& oldest_first) {
   for (size_t i = 1; i < oldest_first.size(); ++i) {
     WFIT_CHECK(oldest_first[i - 1].first <= oldest_first[i].first,
-               "RecencyWindow positions must be non-decreasing");
+               "RecencyRing positions must be non-decreasing");
   }
   // The newest hist_size entries, oldest first: the logical ring a
   // sequence of Record calls would leave.
@@ -77,11 +77,6 @@ void RecencyRing::Restore(
   }
   size_ = static_cast<uint32_t>(keep);
   newest_ = size_ - 1;
-}
-
-RecencyWindow::RecencyWindow(size_t hist_size)
-    : hist_size_(static_cast<uint32_t>(hist_size)) {
-  WFIT_CHECK(hist_size <= UINT32_MAX, "RecencyWindow: hist_size too large");
 }
 
 void BenefitStats::Record(IndexId a, uint64_t n, double beta) {

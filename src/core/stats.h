@@ -38,7 +38,10 @@ class RecencyRing {
   /// Appends an entry for workload position n (non-decreasing), keeping
   /// the newest hist_size entries.
   void Record(uint32_t hist_size, uint64_t n, double value);
-  /// See RecencyWindow::CurrentValue.
+  /// The paper's current value of the series at workload position `now`:
+  ///   value*_N = max_ℓ (v1 + ... + vℓ) / (N − nℓ + 1),
+  /// evaluated newest to oldest. Recent entries get small denominators, so
+  /// recently useful indices score high (cf. LRU-K). Zero when empty.
   double CurrentValue(uint64_t now) const;
   size_t size() const { return size_; }
   /// Oldest-first copy of the entries.
@@ -68,39 +71,6 @@ class RecencyRing {
   Entry* buf_ = nullptr;
   uint32_t size_ = 0;
   uint32_t newest_ = 0;
-};
-
-/// One windowed series with the paper's current-value formula:
-///   value*_N = max_ℓ (v1 + ... + vℓ) / (N − nℓ + 1),
-/// evaluated newest to oldest. Recent entries get small denominators, so
-/// recently useful indices score high (cf. LRU-K).
-class RecencyWindow {
- public:
-  explicit RecencyWindow(size_t hist_size);
-
-  /// Appends an entry for workload position n (1-based, increasing).
-  void Record(uint64_t n, double value) { ring_.Record(hist_size_, n, value); }
-
-  /// value*_N; zero when the window is empty.
-  double CurrentValue(uint64_t now) const { return ring_.CurrentValue(now); }
-
-  bool empty() const { return ring_.size() == 0; }
-  size_t size() const { return ring_.size(); }
-
-  /// Oldest-first copy of the window contents (persist/ snapshots).
-  std::vector<std::pair<uint64_t, double>> Entries() const {
-    return ring_.Entries();
-  }
-  /// Replaces the window with `oldest_first` entries (positions
-  /// non-decreasing), trimming to hist_size as Record would.
-  void RestoreEntries(
-      const std::vector<std::pair<uint64_t, double>>& oldest_first) {
-    ring_.Restore(hist_size_, oldest_first);
-  }
-
- private:
-  RecencyRing ring_;
-  uint32_t hist_size_;
 };
 
 /// The windows of one statistic, keyed by index id or pair key, all with
@@ -134,15 +104,6 @@ class RecencyWindowMap {
   }
 
   size_t size() const { return size_; }
-
-  /// Entries over all windows.
-  size_t entries() const {
-    size_t total = 0;
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (used_[i]) total += rings_[i].size();
-    }
-    return total;
-  }
 
   /// Calls f(key, ring) for every window, in key order.
   template <typename F>

@@ -147,7 +147,7 @@ void Wfit::AnalyzeQuery(const Statement& q) {
   rec_valid_ = false;
 }
 
-WfitState Wfit::ExportState(bool include_windows) const {
+WfitState Wfit::ExportState() const {
   WfitState state;
   state.instance_members.reserve(instances_.size());
   state.work_values.reserve(instances_.size());
@@ -161,7 +161,7 @@ WfitState Wfit::ExportState(bool include_windows) const {
   state.initial_materialized = initial_materialized_;
   state.repartitions = repartitions_;
   state.feedback_events = feedback_events_;
-  state.selector = selector_->ExportState(include_windows);
+  state.selector = selector_->ExportState();
   return state;
 }
 

@@ -110,8 +110,7 @@ class Wfit : public Tuner {
   /// (pool, optimizer, options) — IndexIds in the state refer to the
   /// pool's interning order, which persist/ restores first. Validated:
   /// returns InvalidArgument (state unchanged) on inconsistent shapes.
-  /// `include_windows`: see CandidateSelector::ExportState.
-  WfitState ExportState(bool include_windows = true) const;
+  WfitState ExportState() const;
   Status RestoreState(const WfitState& state);
 
  private:

@@ -33,10 +33,6 @@ class Encoder {
   void PutU64Vector(const std::vector<uint64_t>& v);
   void PutDoubleVector(const std::vector<double>& v);
 
-  /// Makes room for `more` bytes beyond the current size, so a writer that
-  /// knows its size up front grows the buffer once instead of doubling it.
-  void Reserve(size_t more) { buf_.reserve(buf_.size() + more); }
-
   const std::string& data() const { return buf_; }
   std::string Release() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

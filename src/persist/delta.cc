@@ -249,12 +249,13 @@ int64_t WindowEntries(uint64_t len) {
 }
 
 /// Ring-shift patch for a changed window unit: a window is a bounded ring
-/// whose entries never change once recorded (positions strictly increase),
-/// so the new unit is [header][base entries minus the k oldest][appended
-/// entries]. The base's newest entry (`base_newest`, its 16 bytes) locates
-/// the shift in `next`; the base's entry count is `base_entries`. Ships
-/// the header + appended entries. Correctness never rests on the match:
-/// the delta's self CRC verifies the reconstruction end to end.
+/// whose entries never change once recorded, so the new unit is
+/// [header][base entries minus the k oldest][appended entries]. The base's
+/// newest entry (`base_newest`, its 16 bytes) locates the shift in `next`;
+/// the base's entry count is `base_entries`. Ships the header + appended
+/// entries. Positions are only non-decreasing, so the shift is taken only
+/// when the newest base position occurs exactly once in `next`; otherwise
+/// the unit ships whole.
 bool EmitRingShiftOp(const SnapshotUnit& u, std::string_view next,
                      int64_t base_entries, std::string_view base_newest,
                      Encoder* ops) {
@@ -263,24 +264,27 @@ bool EmitRingShiftOp(const SnapshotUnit& u, std::string_view next,
     return false;
   }
   const uint64_t newest_pos = ReadU64Le(base_newest);
+  int64_t match = -1;
   for (int64_t j = 0; j < nn; ++j) {
     std::string_view entry =
         next.substr(kWindowHeader + kWindowEntry * j, kWindowEntry);
-    if (ReadU64Le(entry) > newest_pos) break;  // positions ascend
-    if (entry != base_newest) continue;
-    const int64_t surviving = j + 1;
-    if (surviving > base_entries) return false;
-    const uint64_t k = static_cast<uint64_t>(base_entries - surviving);
-    const uint64_t kept = kWindowEntry * static_cast<uint64_t>(surviving);
-    std::vector<PatchPart> parts;
-    parts.push_back({0, 0, next.substr(0, kWindowHeader), false});
-    parts.push_back({kWindowHeader + kWindowEntry * k, kept, {}, true});
-    if (kWindowHeader + kept < next.size()) {
-      parts.push_back({0, 0, next.substr(kWindowHeader + kept), false});
-    }
-    return EmitPatchParts(u, next.size(), parts, ops);
+    const uint64_t pos = ReadU64Le(entry);
+    if (pos > newest_pos) break;  // positions ascend
+    if (pos < newest_pos) continue;
+    if (match >= 0 || entry != base_newest) return false;  // ambiguous
+    match = j;
   }
-  return false;
+  const int64_t surviving = match + 1;
+  if (surviving < 1 || surviving > base_entries) return false;
+  const uint64_t k = static_cast<uint64_t>(base_entries - surviving);
+  const uint64_t kept = kWindowEntry * static_cast<uint64_t>(surviving);
+  std::vector<PatchPart> parts;
+  parts.push_back({0, 0, next.substr(0, kWindowHeader), false});
+  parts.push_back({kWindowHeader + kWindowEntry * k, kept, {}, true});
+  if (kWindowHeader + kept < next.size()) {
+    parts.push_back({0, 0, next.substr(kWindowHeader + kept), false});
+  }
+  return EmitPatchParts(u, next.size(), parts, ops);
 }
 
 /// Tries to express the changed non-window unit `next` as a patch over

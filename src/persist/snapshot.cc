@@ -125,7 +125,7 @@ Status DecodeWindows(
       double v = 0.0;
       WFIT_RETURN_IF_ERROR(d->GetU64(&n));
       WFIT_RETURN_IF_ERROR(d->GetDouble(&v));
-      // RecencyWindow aborts on non-monotonic positions (internal
+      // RecencyRing aborts on non-monotonic positions (internal
       // invariant); reject them here so a damaged-but-checksummed file
       // degrades to the fallback snapshot instead of a crash loop.
       if (!window.empty() && n < window.back().first) {
@@ -139,22 +139,14 @@ Status DecodeWindows(
   return Status::Ok();
 }
 
-/// `s` carries the selector's scalar state (exported without windows);
-/// the windows are read in place from `selector`.
-void EncodeSelector(const SelectorState& s, const CandidateSelector& selector,
-                    Encoder* e) {
-  const auto& benefit = selector.benefit_stats().windows();
-  const auto& interaction = selector.interaction_stats().windows();
-  // The windows are nearly all of a WFIT payload: size the buffer for them
-  // (plus the overload trailer's fixed part) in one step.
-  e->Reserve(4 + 4 * s.universe.size() + 8 + 4 + s.rng_state.size() + 4 +
-             12 * benefit.size() + 16 * benefit.entries() + 4 +
-             12 * interaction.size() + 16 * interaction.entries() + 32);
-  e->PutIndexSet(s.universe);
-  e->PutU64(s.position);
-  e->PutString(s.rng_state);
-  EncodeWindows(benefit, e);
-  EncodeWindows(interaction, e);
+/// Reads the selector in place: its windows are nearly all of a WFIT
+/// payload.
+void EncodeSelector(const CandidateSelector& selector, Encoder* e) {
+  e->PutIndexSet(selector.universe());
+  e->PutU64(selector.statements_seen());
+  e->PutString(selector.rng_state());
+  EncodeWindows(selector.benefit_stats().windows(), e);
+  EncodeWindows(selector.interaction_stats().windows(), e);
 }
 
 Status DecodeSelector(Decoder* d, SelectorState* out) {
@@ -179,14 +171,19 @@ Status DecodeSelector(Decoder* d, SelectorState* out) {
 
 // --- per-part work function state ---------------------------------------
 
+void EncodePart(const std::vector<IndexId>& members,
+                const std::vector<double>& work_values, Mask rec, Encoder* e) {
+  e->PutU32Vector(members);
+  e->PutDoubleVector(work_values);
+  e->PutU32(rec);
+}
+
 void EncodeParts(const std::vector<std::vector<IndexId>>& members,
                  const std::vector<std::vector<double>>& work_values,
                  const std::vector<Mask>& recs, Encoder* e) {
   e->PutU32(static_cast<uint32_t>(members.size()));
   for (size_t i = 0; i < members.size(); ++i) {
-    e->PutU32Vector(members[i]);
-    e->PutDoubleVector(work_values[i]);
-    e->PutU32(recs[i]);
+    EncodePart(members[i], work_values[i], recs[i], e);
   }
 }
 
@@ -216,15 +213,19 @@ Status DecodeParts(Decoder* d, std::vector<std::vector<IndexId>>* members,
 
 Status EncodeTuner(const Tuner& tuner, Encoder* e) {
   if (const Wfit* wfit = dynamic_cast<const Wfit*>(&tuner)) {
-    WfitState state = wfit->ExportState(/*include_windows=*/false);
+    // Read in place rather than through ExportState, which would copy
+    // every selector window.
     e->PutU8(kTunerWfit);
-    EncodeParts(state.instance_members, state.work_values,
-                state.current_recs, e);
-    e->PutIndexSet(state.candidate_set);
-    e->PutIndexSet(state.initial_materialized);
-    e->PutU64(state.repartitions);
-    e->PutU64(state.feedback_events);
-    EncodeSelector(state.selector, wfit->selector(), e);
+    e->PutU32(static_cast<uint32_t>(wfit->instances().size()));
+    for (const WfaInstance& instance : wfit->instances()) {
+      EncodePart(instance.members(), instance.work_values(),
+                 instance.recommendation(), e);
+    }
+    e->PutIndexSet(wfit->candidate_set());
+    e->PutIndexSet(wfit->initial_materialized());
+    e->PutU64(wfit->RepartitionCount());
+    e->PutU64(wfit->FeedbackCount());
+    EncodeSelector(wfit->selector(), e);
     return Status::Ok();
   }
   if (const WfaPlus* wfa = dynamic_cast<const WfaPlus*>(&tuner)) {

@@ -443,5 +443,48 @@ TEST(DeltaChainTest, PoolGrowthShipsOnlyAppendedDefinitions) {
   EXPECT_EQ(restored.Recommendation(), run.tuner.Recommendation());
 }
 
+// Window positions are only non-decreasing. A window whose newest entry
+// appears twice gives the ring-shift matcher two candidate shifts; the
+// delta must still reconstruct the window exactly.
+TEST(DeltaChainTest, RepeatedWindowPositionsRestoreExactly) {
+  const std::string dir = FreshDir("repeated_positions");
+  ChainRun run;
+  run.AdvanceTo(30);
+  WfitState state = run.tuner.ExportState();
+  ASSERT_FALSE(state.selector.benefit_windows.empty());
+  const uint64_t p = state.selector.position;
+  auto& window = state.selector.benefit_windows.front().second;
+
+  // Long enough that a ring-shift patch beats shipping the unit whole.
+  window.clear();
+  for (uint64_t i = 0; i < 20; ++i) window.emplace_back(p - 25 + i, 1.0 + i);
+  window.emplace_back(p - 1, 2.0);
+  window.emplace_back(p - 1, 2.0);
+  DeltaCheckpointer cp;
+  Wfit base(&run.db.pool(), &run.db.optimizer(), IndexSet{}, FastOptions());
+  ASSERT_TRUE(base.RestoreState(state).ok());
+  auto rf = cp.Write(dir, base, run.db.pool(), MetaAt(30, 30));
+  ASSERT_TRUE(rf.ok());
+  ASSERT_TRUE(rf->wrote_full);
+
+  window.emplace_back(p, 3.0);
+  Wfit next(&run.db.pool(), &run.db.optimizer(), IndexSet{}, FastOptions());
+  ASSERT_TRUE(next.RestoreState(state).ok());
+  auto rd = cp.Write(dir, next, run.db.pool(), MetaAt(31, 31));
+  ASSERT_TRUE(rd.ok());
+  ASSERT_FALSE(rd->wrote_full);
+
+  TestDb db2;
+  Wfit restored(&db2.pool(), &db2.optimizer(), IndexSet{}, FastOptions());
+  SnapshotLoadResult loaded =
+      LoadLatestCheckpoint(dir, &restored, &db2.pool(), nullptr);
+  ASSERT_TRUE(loaded.loaded);
+  EXPECT_EQ(loaded.meta.analyzed, 31u);
+  EXPECT_EQ(loaded.deltas_applied, 1u);
+  EXPECT_EQ(loaded.skipped, 0u);
+  EXPECT_EQ(restored.ExportState().selector.benefit_windows,
+            state.selector.benefit_windows);
+}
+
 }  // namespace
 }  // namespace wfit::persist

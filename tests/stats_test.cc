@@ -5,68 +5,68 @@
 namespace wfit {
 namespace {
 
-TEST(RecencyWindowTest, EmptyWindowIsZero) {
-  RecencyWindow w(10);
-  EXPECT_DOUBLE_EQ(w.CurrentValue(100), 0.0);
-  EXPECT_TRUE(w.empty());
+TEST(RecencyRingTest, EmptyRingIsZero) {
+  RecencyRing r;
+  EXPECT_DOUBLE_EQ(r.CurrentValue(100), 0.0);
+  EXPECT_EQ(r.size(), 0u);
 }
 
-TEST(RecencyWindowTest, ZeroHistSizeDisablesHistory) {
+TEST(RecencyRingTest, ZeroHistSizeDisablesHistory) {
   // hist_size = 0 is a legal knob value: records are dropped and the
-  // window stays permanently empty (and must not crash the ring indexing).
-  RecencyWindow w(0);
-  w.Record(1, 5.0);
-  w.Record(2, 7.0);
-  EXPECT_TRUE(w.empty());
-  EXPECT_DOUBLE_EQ(w.CurrentValue(3), 0.0);
-  EXPECT_TRUE(w.Entries().empty());
-  w.RestoreEntries({{1, 5.0}, {2, 7.0}});
-  EXPECT_TRUE(w.empty());
+  // ring stays permanently empty (and must not crash the ring indexing).
+  RecencyRing r;
+  r.Record(0, 1, 5.0);
+  r.Record(0, 2, 7.0);
+  EXPECT_EQ(r.size(), 0u);
+  EXPECT_DOUBLE_EQ(r.CurrentValue(3), 0.0);
+  EXPECT_TRUE(r.Entries().empty());
+  r.Restore(0, {{1, 5.0}, {2, 7.0}});
+  EXPECT_EQ(r.size(), 0u);
 }
 
-TEST(RecencyWindowTest, SingleEntryFormula) {
-  RecencyWindow w(10);
-  w.Record(5, 12.0);
+TEST(RecencyRingTest, SingleEntryFormula) {
+  RecencyRing r;
+  r.Record(10, 5, 12.0);
   // value*_N = 12 / (N − 5 + 1).
-  EXPECT_DOUBLE_EQ(w.CurrentValue(5), 12.0);
-  EXPECT_DOUBLE_EQ(w.CurrentValue(10), 12.0 / 6.0);
-  EXPECT_DOUBLE_EQ(w.CurrentValue(16), 1.0);
+  EXPECT_DOUBLE_EQ(r.CurrentValue(5), 12.0);
+  EXPECT_DOUBLE_EQ(r.CurrentValue(10), 12.0 / 6.0);
+  EXPECT_DOUBLE_EQ(r.CurrentValue(16), 1.0);
 }
 
-TEST(RecencyWindowTest, MaxOverSuffixAverages) {
+TEST(RecencyRingTest, MaxOverSuffixAverages) {
   // Entries (n=1,b=10), (n=9,b=1), now N=10:
   //   ℓ=1: 1 / (10−9+1)      = 0.5
   //   ℓ=2: (1+10) / (10−1+1) = 1.1   <- max
-  RecencyWindow w(10);
-  w.Record(1, 10.0);
-  w.Record(9, 1.0);
-  EXPECT_DOUBLE_EQ(w.CurrentValue(10), 1.1);
+  RecencyRing r;
+  r.Record(10, 1, 10.0);
+  r.Record(10, 9, 1.0);
+  EXPECT_DOUBLE_EQ(r.CurrentValue(10), 1.1);
 }
 
-TEST(RecencyWindowTest, RecentSpikesDominate) {
+TEST(RecencyRingTest, RecentSpikesDominate) {
   // A big recent benefit outweighs a long history of small ones.
-  RecencyWindow w(100);
-  for (uint64_t n = 1; n <= 50; ++n) w.Record(n, 1.0);
-  w.Record(51, 100.0);
+  RecencyRing r;
+  for (uint64_t n = 1; n <= 50; ++n) r.Record(100, n, 1.0);
+  r.Record(100, 51, 100.0);
   // ℓ=1: 100/1 = 100 clearly the max.
-  EXPECT_DOUBLE_EQ(w.CurrentValue(51), 100.0);
+  EXPECT_DOUBLE_EQ(r.CurrentValue(51), 100.0);
 }
 
-TEST(RecencyWindowTest, HistSizeEvictsOldest) {
-  RecencyWindow w(3);
-  w.Record(1, 1000.0);  // will be evicted
-  w.Record(2, 1.0);
-  w.Record(3, 1.0);
-  w.Record(4, 1.0);
-  EXPECT_EQ(w.size(), 3u);
+TEST(RecencyRingTest, HistSizeEvictsOldest) {
+  RecencyRing r;
+  r.Record(3, 1, 1000.0);  // will be evicted
+  r.Record(3, 2, 1.0);
+  r.Record(3, 3, 1.0);
+  r.Record(3, 4, 1.0);
+  EXPECT_EQ(r.size(), 3u);
   // If the 1000 entry survived, the value at N=4 would be ≥ 1000/4 = 250.
-  EXPECT_LT(w.CurrentValue(4), 10.0);
+  EXPECT_LT(r.CurrentValue(4), 10.0);
 }
 
-TEST(RecencyWindowDeathTest, DecreasingPositionsAbort) {
-  RecencyWindow w(4);
-  w.Record(10, 1.0);
-  EXPECT_DEATH({ w.Record(9, 1.0); }, "non-decreasing");
+TEST(RecencyRingDeathTest, DecreasingPositionsAbort) {
+  RecencyRing r;
+  r.Record(4, 10, 1.0);
+  EXPECT_DEATH({ r.Record(4, 9, 1.0); }, "non-decreasing");
 }
 
 TEST(BenefitStatsTest, IgnoresNonPositiveBenefits) {
