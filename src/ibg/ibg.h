@@ -6,22 +6,19 @@
 // found by descending from the root while removing used indices that are
 // not in the subset ("covering node" lookup).
 //
-// Construction is a level-synchronous BFS: all nodes of one level are
-// independent what-if probes (a node's children depend only on its own
-// `used` set), so with a WorkerPool attached the frontier fans out across
-// worker threads and the results are merged serially in canonical mask
-// order. Node sets, truncation decisions and relevant_used() are therefore
-// byte-identical at any pool width — the determinism contract
-// tests/ibg_parallel_test.cc proves.
+// Construction is a level-synchronous BFS: the budget check runs once per
+// level, before the level is probed, and each level's children are merged
+// in ascending mask order. That order decides where the node-budget retry
+// stops, and so which candidates it sheds; a different traversal (plain
+// DFS, or a queue that checks the budget per node) would shed different
+// candidates and change results.
 //
 // Thread safety after construction: the node table is immutable, but cost
 // lookups memoize into mutable caches, so an IBG must be read by ONE thread
 // at a time. This is enforced (cheaply, always on, once per CostOf,
 // BenefitOf, MaxBenefit or MaxInteraction call): the first such read pins
-// the reader thread and any other thread aborts. The engine
-// honors the contract by construction — each per-part IBG is built and
-// consumed inside a single worker task, and the selector's statement-wide
-// IBG is consumed only by the analysis thread.
+// the reader thread and any other thread aborts. Statement analysis builds
+// and reads every IBG on the one thread that analyzes the statement.
 #ifndef WFIT_IBG_IBG_H_
 #define WFIT_IBG_IBG_H_
 
@@ -36,8 +33,6 @@
 
 namespace wfit {
 
-class WorkerPool;
-
 class IndexBenefitGraph {
  public:
   /// Builds the IBG of `q` over `candidates` (local bit i corresponds to
@@ -51,13 +46,9 @@ class IndexBenefitGraph {
   /// candidate list — callers that rank candidates by current benefit
   /// (chooseCands does) therefore shed the least valuable ones first.
   /// Dropped candidates are reported via truncated_candidates().
-  ///
-  /// With a non-null `pool`, each BFS level's what-if probes run across the
-  /// pool (plus the calling thread); the resulting graph is byte-identical
-  /// to the serial build.
   IndexBenefitGraph(const Statement& q, const WhatIfOptimizer& optimizer,
                     std::vector<IndexId> candidates,
-                    size_t max_nodes = 1u << 20, WorkerPool* pool = nullptr);
+                    size_t max_nodes = 1u << 20);
 
   /// Candidates shed by the node-budget fallback (empty in the common case).
   const std::vector<IndexId>& truncated_candidates() const {
@@ -115,11 +106,9 @@ class IndexBenefitGraph {
   };
 
   /// Level-synchronous BFS over the node closure; returns false when the
-  /// closure exceeds `max_nodes` (decided per level BEFORE probing it, so
-  /// the outcome and the probe count are independent of the pool width).
+  /// closure exceeds `max_nodes` (decided per level BEFORE probing it).
   /// Accumulates the optimizer calls it issued into `*calls` (counted
-  /// locally: the optimizer's global counter cannot attribute calls when
-  /// several IBGs build concurrently on a worker pool).
+  /// locally: the optimizer's counter is shared by every IBG it serves).
   bool TryBuild(const Statement& q, const WhatIfOptimizer& optimizer,
                 size_t max_nodes, uint64_t* calls);
 
@@ -165,8 +154,6 @@ class IndexBenefitGraph {
   /// Hashed id of the single thread allowed to issue memoizing reads;
   /// 0 = unclaimed.
   mutable std::atomic<uint64_t> reader_{0};
-  /// Probe fan-out pool during construction only; nulled afterwards.
-  WorkerPool* pool_ = nullptr;
   Mask root_ = 0;
   Mask relevant_used_ = 0;
   uint64_t build_calls_ = 0;

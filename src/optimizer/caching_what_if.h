@@ -25,15 +25,15 @@
 // (statement, configuration), so a warm tier 2 changes which probes reach
 // the base optimizer but never any returned cost: recommendation
 // trajectories are bit-for-bit identical with the tier cold, warm, or
-// disabled (asserted in recovery_test and parallel_analysis_test). The tier
+// disabled (asserted in recovery_test and caching_what_if_test). The tier
 // is deliberately NOT persisted by persist/ snapshots — recovery restarts
 // it cold, which by the same argument cannot change the replayed
 // trajectory.
 //
-// Thread safety: Optimize may be called concurrently from worker-pool
-// threads analyzing parts (or IBG frontier probes) of the same statement;
-// the tables are mutex-protected and the counters are atomic.
-// BeginStatement must be called from the (single) analysis thread between
+// Thread safety: the tables are mutex-protected and the counters are
+// atomic, so Optimize may be called from several threads at once and the
+// counters may be read from any thread (the metrics path reads them while
+// the analysis thread probes). BeginStatement must be called between
 // statements, never while probes are in flight.
 #ifndef WFIT_OPTIMIZER_CACHING_WHAT_IF_H_
 #define WFIT_OPTIMIZER_CACHING_WHAT_IF_H_

@@ -337,32 +337,15 @@ void TunerService::Start() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   WFIT_CHECK(!started_, "TunerService::Start called twice");
   started_ = true;
-  const size_t threads = options_.analysis_threads == 0
-                             ? WorkerPool::DefaultThreads()
-                             : options_.analysis_threads;
-  if (threads > 1) {
-    // The analysis worker participates in every ParallelFor, so a pool of
-    // threads - 1 gives exactly `threads` concurrent analysis workers.
-    analysis_pool_ = std::make_unique<WorkerPool>(threads - 1);
-    tuner_->SetAnalysisPool(analysis_pool_.get());
-  }
-  metrics_.SetAnalysisThreads(threads);
   Publish();  // initial configuration, analyzed == 0
   worker_ = std::thread([this] { WorkerLoop(); });
 }
 
-void TunerService::StartDetached(WorkerPool* analysis_pool) {
+void TunerService::StartDetached() {
   std::lock_guard<std::mutex> lock(lifecycle_mu_);
   WFIT_CHECK(!started_, "TunerService started twice");
   started_ = true;
   detached_ = true;
-  if (analysis_pool != nullptr) {
-    tuner_->SetAnalysisPool(analysis_pool);
-  }
-  // The draining thread participates in every ParallelFor, so the
-  // effective analysis width is the shared pool plus one.
-  metrics_.SetAnalysisThreads(
-      analysis_pool == nullptr ? 1 : analysis_pool->num_threads() + 1);
   Publish();  // initial configuration (recovered state after Open)
 }
 
@@ -899,8 +882,8 @@ void TunerService::WorkerLoop() {
 void TunerService::AnalyzeBatch(std::vector<Statement>& batch,
                                 uint64_t first_seq, size_t n,
                                 const std::vector<IngestMeta>& meta) {
-  // Stage timers anywhere below this frame (IBG build on pool threads,
-  // what-if probes, checkpoint writes) attribute to this service.
+  // Stage timers anywhere below this frame (IBG build, what-if probes,
+  // checkpoint writes) attribute to this service.
   obs::ScopedStageSink stage_sink(&metrics_);
   metrics_.OnBatch(n);
   // Epochs journaled by a previous incarnation for this (re-queued)

@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/worker_pool.h"
 #include "core/index_set.h"
 #include "core/tuner.h"
 #include "persist/delta.h"
@@ -97,12 +96,6 @@ struct TunerServiceOptions {
   size_t queue_capacity = 1024;
   /// The worker drains at most this many statements per batch.
   size_t max_batch = 32;
-  /// Width of the analysis worker pool for intra-statement parallelism
-  /// (per-part IBG construction + WFA updates fan out across it). 0 means
-  /// hardware_concurrency; 1 means serial analysis (no pool). Statements
-  /// remain strictly serialized either way — only work *inside* one
-  /// statement parallelizes, so the determinism contract is unchanged.
-  size_t analysis_threads = 0;
   /// Record the recommendation after every analyzed statement (for
   /// determinism tests and offline inspection). Off in production.
   bool record_history = false;
@@ -246,11 +239,9 @@ class TunerService {
   using PendingVotes =
       std::multimap<uint64_t, std::pair<IndexSet, IndexSet>>;
 
-  /// Starts the service without a worker thread. `analysis_pool` (may be
-  /// null for serial analysis) is shared across services for
-  /// intra-statement fan-out; the service does not own it. Mutually
-  /// exclusive with Start().
-  void StartDetached(WorkerPool* analysis_pool);
+  /// Starts the service without a worker thread. Mutually exclusive with
+  /// Start().
+  void StartDetached();
 
   /// Drains at most one batch (non-blocking): pops up to max_batch
   /// contiguous statements, write-ahead journals them, analyzes each with
@@ -453,9 +444,6 @@ class TunerService {
   /// Statements below this sequence are already in the journal (recovery
   /// requeued them); the worker skips their WAL append.
   uint64_t journal_stmt_skip_until_ = 0;
-  /// Owned pool for intra-statement parallel analysis; created by Start()
-  /// when the resolved analysis_threads exceeds one.
-  std::unique_ptr<WorkerPool> analysis_pool_;
   ServiceMetrics metrics_;
   std::thread worker_;
   // Lifecycle state; guarded so Shutdown() is safe to race with the

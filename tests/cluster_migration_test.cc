@@ -51,7 +51,6 @@ service::TenantRouterOptions RouterOptions(const std::string& root) {
   options.shard.record_history = true;
   options.shard.checkpoint_every_statements = 100;
   options.checkpoint_root = root;
-  options.analysis_threads = 1;
   options.drain_threads = 1;
   return options;
 }

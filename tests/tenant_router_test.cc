@@ -157,7 +157,6 @@ TEST(TenantRouterTest, InterleavedTrafficMatchesDedicatedRuns) {
   options.shard.queue_capacity = 16;
   options.shard.max_batch = 5;
   options.shard.record_history = true;
-  options.analysis_threads = 2;
   options.drain_threads = 2;
   TenantRouter router(env.Factory(), options);
   router.Start();
@@ -609,6 +608,19 @@ TEST(TenantRouterTest, RoutedOpsAfterShutdownFailFast) {
   EXPECT_EQ(router.Recommendation(TenantName(1)), nullptr);
   EXPECT_FALSE(router.WaitUntilAnalyzed(TenantName(1), 1));
   EXPECT_EQ(router.analyzed(TenantName(1)), 0u);
+}
+
+TEST(TenantRouterDeathTest, AnalysisThreadsAboveOneAborts) {
+  // Statement analysis is serial; the field survives only so existing
+  // callers that assign 1 still compile.
+  MultiDb env(1);
+  TenantRouterOptions options;
+  options.drain_threads = 0;
+  options.analysis_threads = 1;
+  { TenantRouter serial(env.Factory(), options); }
+  options.analysis_threads = 2;
+  EXPECT_DEATH({ TenantRouter router(env.Factory(), options); },
+               "analysis_threads > 1");
 }
 
 TEST(TenantRouterTest, TenantDirEncodingIsSafeAndReversible) {
