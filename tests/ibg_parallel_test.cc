@@ -1,20 +1,14 @@
-// Determinism contract of the parallel (level-synchronous) IBG build: the
-// node set, every cost, relevant_used, the node-budget truncation decision
-// and the retry-with-half fallback are byte-identical at any worker-pool
-// width — what-if probes of one BFS level are independent, and the merge
-// happens serially in canonical mask order.
-//
-// Also covers the single-reader enforcement: cost lookups memoize into
-// mutable caches, so a second thread issuing memoizing reads must abort.
+// The IBG's node budget and its single-reader rule. The budget
+// truncation decision and the retry-with-half fallback keep the head of
+// the ranked candidate list; cost lookups memoize into mutable caches, so
+// a second thread issuing memoizing reads must abort.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <thread>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "ibg/ibg.h"
-#include "ibg/interactions.h"
 #include "tests/test_util.h"
 
 namespace wfit {
@@ -22,136 +16,41 @@ namespace {
 
 using wfit::testing::TestDb;
 
-std::vector<IndexId> WideCandidates(TestDb& db) {
-  // Enough candidates on one table that multi-predicate queries produce a
+TEST(IbgNodeBudgetTest, ShedsTheTailOfTheRanking) {
+  // Enough candidates on one table that a multi-predicate query produces a
   // deep node closure (every used index spawns a child per level).
-  return {db.Ix("t1", {"a"}),      db.Ix("t1", {"b"}),
-          db.Ix("t1", {"c"}),      db.Ix("t1", {"a", "b"}),
-          db.Ix("t1", {"b", "a"}), db.Ix("t1", {"a", "c"}),
-          db.Ix("t1", {"c", "a"}), db.Ix("t1", {"b", "c"})};
-}
-
-struct IbgSignature {
-  std::vector<IndexId> candidates;
-  std::vector<IndexId> truncated;
-  size_t num_nodes = 0;
-  uint64_t build_calls = 0;
-  Mask relevant_used = 0;
-  std::vector<double> costs;  // all 2^|candidates| subsets
-  std::vector<double> max_benefits;
-
-  bool operator==(const IbgSignature& other) const {
-    return candidates == other.candidates && truncated == other.truncated &&
-           num_nodes == other.num_nodes &&
-           build_calls == other.build_calls &&
-           relevant_used == other.relevant_used && costs == other.costs &&
-           max_benefits == other.max_benefits;
-  }
-};
-
-IbgSignature Signature(const Statement& q, const WhatIfOptimizer& optimizer,
-                       const std::vector<IndexId>& candidates,
-                       size_t max_nodes, WorkerPool* pool) {
-  IndexBenefitGraph ibg(q, optimizer, candidates, max_nodes, pool);
-  IbgSignature sig;
-  sig.candidates = ibg.candidates();
-  sig.truncated = ibg.truncated_candidates();
-  sig.num_nodes = ibg.num_nodes();
-  sig.build_calls = ibg.build_calls();
-  sig.relevant_used = ibg.relevant_used();
-  const Mask full =
-      ibg.candidates().empty()
-          ? 0
-          : static_cast<Mask>((1u << ibg.candidates().size()) - 1);
-  for (Mask m = 0; m <= full; ++m) {
-    sig.costs.push_back(ibg.CostOf(m));
-    if (full == 0) break;
-  }
-  for (size_t bit = 0; bit < ibg.candidates().size(); ++bit) {
-    sig.max_benefits.push_back(ibg.MaxBenefit(static_cast<int>(bit)));
-  }
-  return sig;
-}
-
-class IbgParallelTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(IbgParallelTest, GraphIdenticalToSerialBuild) {
-  const size_t threads = GetParam();
   TestDb db;
-  std::vector<IndexId> cands = WideCandidates(db);
-  std::vector<Statement> queries = {
-      db.Bind("SELECT count(*) FROM t1 WHERE a BETWEEN 0 AND 200 "
-              "AND b BETWEEN 0 AND 100"),
-      db.Bind("SELECT count(*) FROM t1 WHERE a = 3 AND b = 4 AND c = 5"),
-      db.Bind("SELECT d FROM t1 WHERE c = 9 ORDER BY a"),
-      db.Bind("UPDATE t1 SET d = 1 WHERE a BETWEEN 0 AND 5"),
-  };
-  std::unique_ptr<WorkerPool> pool;
-  if (threads > 1) pool = std::make_unique<WorkerPool>(threads - 1);
-  for (const Statement& q : queries) {
-    IbgSignature serial =
-        Signature(q, db.optimizer(), cands, 1u << 20, nullptr);
-    IbgSignature parallel =
-        Signature(q, db.optimizer(), cands, 1u << 20, pool.get());
-    EXPECT_TRUE(serial == parallel) << q.sql << " threads=" << threads;
-  }
-}
-
-TEST_P(IbgParallelTest, NodeBudgetTruncationIdentical) {
-  const size_t threads = GetParam();
-  TestDb db;
-  std::vector<IndexId> cands = WideCandidates(db);
+  std::vector<IndexId> cands = {
+      db.Ix("t1", {"a"}),      db.Ix("t1", {"b"}),
+      db.Ix("t1", {"c"}),      db.Ix("t1", {"a", "b"}),
+      db.Ix("t1", {"b", "a"}), db.Ix("t1", {"a", "c"}),
+      db.Ix("t1", {"c", "a"}), db.Ix("t1", {"b", "c"})};
   Statement q = db.Bind(
       "SELECT count(*) FROM t1 WHERE a BETWEEN 0 AND 200 "
       "AND b BETWEEN 0 AND 100 AND c = 3");
-  std::unique_ptr<WorkerPool> pool;
-  if (threads > 1) pool = std::make_unique<WorkerPool>(threads - 1);
   // Sweep budgets from "sheds almost everything" (the retry-with-half
   // fallback path, possibly several halvings) to "fits exactly".
   bool saw_truncation = false;
   for (size_t budget : {1u, 2u, 3u, 5u, 9u, 17u, 33u, 1024u}) {
-    IbgSignature serial =
-        Signature(q, db.optimizer(), cands, budget, nullptr);
-    IbgSignature parallel =
-        Signature(q, db.optimizer(), cands, budget, pool.get());
-    EXPECT_TRUE(serial == parallel)
-        << "budget=" << budget << " threads=" << threads;
-    EXPECT_LE(serial.num_nodes, budget);
-    saw_truncation = saw_truncation || !serial.truncated.empty();
-    // Shed + kept always partitions the input candidate list.
-    EXPECT_EQ(serial.candidates.size() + serial.truncated.size(),
-              cands.size());
+    IndexBenefitGraph ibg(q, db.optimizer(), cands, budget);
+    const std::vector<IndexId>& kept = ibg.candidates();
+    const std::vector<IndexId>& shed = ibg.truncated_candidates();
+    EXPECT_LE(ibg.num_nodes(), budget) << "budget=" << budget;
+    saw_truncation = saw_truncation || !shed.empty();
+    // Shed + kept always partitions the input candidate list, and the
+    // kept candidates are its head: callers rank by benefit, so the
+    // budget sheds the least valuable ones.
+    EXPECT_EQ(kept.size() + shed.size(), cands.size()) << "budget=" << budget;
+    EXPECT_TRUE(std::equal(kept.begin(), kept.end(), cands.begin()))
+        << "budget=" << budget;
   }
   EXPECT_TRUE(saw_truncation)
       << "the budget sweep must exercise the retry-with-half path";
 }
 
-TEST_P(IbgParallelTest, InteractionsIdentical) {
-  const size_t threads = GetParam();
-  TestDb db;
-  std::vector<IndexId> cands = WideCandidates(db);
-  Statement q = db.Bind(
-      "SELECT count(*) FROM t1 WHERE a BETWEEN 0 AND 150 "
-      "AND b BETWEEN 0 AND 80");
-  std::unique_ptr<WorkerPool> pool;
-  if (threads > 1) pool = std::make_unique<WorkerPool>(threads - 1);
-  IndexBenefitGraph serial(q, db.optimizer(), cands);
-  IndexBenefitGraph parallel(q, db.optimizer(), cands, 1u << 20, pool.get());
-  std::vector<InteractionEntry> si = ComputeInteractions(serial);
-  std::vector<InteractionEntry> pi = ComputeInteractions(parallel);
-  ASSERT_EQ(si.size(), pi.size());
-  EXPECT_FALSE(si.empty()) << "test query must interact";
-  for (size_t i = 0; i < si.size(); ++i) {
-    EXPECT_EQ(si[i].a, pi[i].a);
-    EXPECT_EQ(si[i].b, pi[i].b);
-    EXPECT_EQ(si[i].doi, pi[i].doi) << "doi must be bit-identical";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(PoolWidths, IbgParallelTest,
-                         ::testing::Values(1u, 2u, 8u));
-
 TEST(IbgSingleReaderDeathTest, SecondThreadMemoizingReadAborts) {
+  // Cost lookups memoize into mutable caches, so a second thread issuing
+  // memoizing reads must abort.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   TestDb db;
   Statement q = db.Bind("SELECT count(*) FROM t1 WHERE a = 3 AND b = 4");

@@ -1,17 +1,15 @@
-// Determinism contract of the parallel analysis engine: the recommendation
-// trajectory of a tuner is bit-for-bit identical for every worker-pool
-// width, because per-part tasks touch disjoint WfaInstances and the
-// what-if layer is a pure function of (statement, configuration).
+// Statement analysis across the parts of a partitioned tuner: the
+// recommendation trajectory does not depend on the state of the what-if
+// memo (disabled, cold or warm), and the per-part IBGs of one statement
+// share configuration probes through it.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "common/worker_pool.h"
 #include "core/wfa_plus.h"
 #include "core/wfit.h"
-#include "service/tuner_service.h"
 #include "tests/test_util.h"
 
 namespace wfit {
@@ -28,6 +26,8 @@ WfitOptions FastOptions() {
   return options;
 }
 
+/// Cycles 10 statement templates, so the cross-statement tier warms from
+/// the second cycle on.
 Workload BuildWorkload(TestDb& db, size_t n) {
   const char* shapes[] = {
       "SELECT count(*) FROM t1 WHERE a BETWEEN 0 AND 150",
@@ -66,48 +66,6 @@ std::vector<IndexSet> Trajectory(
   return out;
 }
 
-TEST(ParallelAnalysisTest, WfitTrajectoryIdenticalAcrossThreadCounts) {
-  TestDb db;
-  Workload w = BuildWorkload(db, 500);
-  IndexId ia = db.Ix("t1", {"a"});
-  IndexId ib = db.Ix("t1", {"b"});
-  IndexId ix = db.Ix("t2", {"x"});
-  // Interleaved DBA feedback: votes in, vetoes, and a flip-flop.
-  std::map<size_t, std::pair<IndexSet, IndexSet>> feedback = {
-      {50, {IndexSet{ib}, IndexSet{}}},
-      {120, {IndexSet{}, IndexSet{ia}}},
-      {250, {IndexSet{ia}, IndexSet{ib}}},
-      {400, {IndexSet{ix}, IndexSet{}}},
-  };
-
-  std::vector<IndexSet> reference;
-  for (size_t threads : {1, 2, 8}) {
-    Wfit tuner(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions());
-    std::unique_ptr<WorkerPool> pool;
-    if (threads > 1) {
-      // threads - 1 workers + the analyzing thread = `threads` total.
-      pool = std::make_unique<WorkerPool>(threads - 1);
-      tuner.SetAnalysisPool(pool.get());
-    }
-    std::vector<IndexSet> got = Trajectory(&tuner, w, feedback);
-    WhatIfCacheCounters cache = tuner.WhatIfCache();
-    EXPECT_GT(cache.misses, 0u);
-    EXPECT_EQ(cache.probes(), cache.hits + cache.cross_hits + cache.misses);
-    EXPECT_GT(cache.cross_hits, 0u)
-        << "the repeated-template workload must warm the cross tier";
-    if (threads == 1) {
-      reference = got;
-      continue;
-    }
-    ASSERT_EQ(got.size(), reference.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(got[i], reference[i])
-          << "divergence at statement " << i << " with " << threads
-          << " analysis threads";
-    }
-  }
-}
-
 TEST(ParallelAnalysisTest, WfitTrajectoryIdenticalColdWarmOrDisabledCache) {
   // The cross-statement what-if cache is purely a probe-avoidance layer:
   // with it disabled, cold, or pre-warmed by a whole prior workload, the
@@ -143,44 +101,6 @@ TEST(ParallelAnalysisTest, WfitTrajectoryIdenticalColdWarmOrDisabledCache) {
       << "repeated templates must be served by the cross tier";
 }
 
-TEST(ParallelAnalysisTest, WfaPlusFixedPartitionIdenticalAcrossThreadCounts) {
-  TestDb db;
-  Workload w = BuildWorkload(db, 200);
-  std::vector<IndexSet> partition = {
-      IndexSet{db.Ix("t1", {"a"}), db.Ix("t1", {"b"})},
-      IndexSet{db.Ix("t1", {"c"}), db.Ix("t1", {"a", "b"})},
-      IndexSet{db.Ix("t2", {"x"}), db.Ix("t2", {"y"})},
-      IndexSet{db.Ix("t2", {"fk"})},
-      IndexSet{db.Ix("t3", {"v"})},
-  };
-  std::map<size_t, std::pair<IndexSet, IndexSet>> feedback = {
-      {40, {IndexSet{db.Ix("t1", {"c"})}, IndexSet{}}},
-      {100, {IndexSet{}, IndexSet{db.Ix("t1", {"a"})}}},
-  };
-
-  std::vector<IndexSet> reference;
-  for (size_t threads : {1, 2, 8}) {
-    WfaPlus tuner(&db.pool(), &db.optimizer(), partition, IndexSet{});
-    std::unique_ptr<WorkerPool> pool;
-    if (threads > 1) {
-      // threads - 1 workers + the analyzing thread = `threads` total.
-      pool = std::make_unique<WorkerPool>(threads - 1);
-      tuner.SetAnalysisPool(pool.get());
-    }
-    std::vector<IndexSet> got = Trajectory(&tuner, w, feedback);
-    if (threads == 1) {
-      reference = got;
-      continue;
-    }
-    ASSERT_EQ(got.size(), reference.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_EQ(got[i], reference[i])
-          << "divergence at statement " << i << " with " << threads
-          << " analysis threads";
-    }
-  }
-}
-
 TEST(ParallelAnalysisTest, MemoHitsAcrossPartsOfOneStatement) {
   TestDb db;
   // Two parts over the same table guarantee overlapping probe keys within
@@ -199,36 +119,6 @@ TEST(ParallelAnalysisTest, MemoHitsAcrossPartsOfOneStatement) {
   EXPECT_GT(cache.hits, 0u)
       << "per-part IBGs of one statement share configuration probes";
   EXPECT_GT(cache.hit_rate(), 0.0);
-}
-
-TEST(ParallelAnalysisTest, ServiceWithParallelAnalysisMatchesSerialReplay) {
-  TestDb db;
-  Workload w = BuildWorkload(db, 96);
-
-  // Serial reference, directly on a tuner.
-  Wfit serial(&db.pool(), &db.optimizer(), IndexSet{}, FastOptions());
-  std::vector<IndexSet> reference = Trajectory(&serial, w, {});
-
-  service::TunerServiceOptions options;
-  options.queue_capacity = 16;
-  options.max_batch = 5;
-  options.analysis_threads = 4;
-  options.record_history = true;
-  service::TunerService svc(
-      std::make_unique<Wfit>(&db.pool(), &db.optimizer(), IndexSet{},
-                             FastOptions()),
-      options);
-  svc.Start();
-  for (size_t i = 0; i < w.size(); ++i) ASSERT_TRUE(svc.SubmitAt(i, w[i]));
-  svc.Shutdown();
-  std::vector<IndexSet> got = svc.History();
-  ASSERT_EQ(got.size(), reference.size());
-  for (size_t i = 0; i < reference.size(); ++i) {
-    ASSERT_EQ(got[i], reference[i]) << "divergence at statement " << i;
-  }
-  service::MetricsSnapshot m = svc.Metrics();
-  EXPECT_EQ(m.analysis_threads, 4u);
-  EXPECT_GT(m.what_if_cache_misses, 0u);
 }
 
 }  // namespace
