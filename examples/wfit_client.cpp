@@ -6,9 +6,11 @@
 // from per-node kGetHistory segments and verifies it bit-for-bit against
 // a reference file produced by `tuning_service_demo --tenants=N`.
 //
-//   wfit_client --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --tenants=2 \
-//       --statements=260 --migrate=tenant-0:120 \
+//   wfit_client --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --tenants=2
+//       --statements=260 --migrate=tenant-0:120
 //       --trajectory_out=got --reference=ref [--shutdown_nodes]
+//
+// (an indented line continues the command above it)
 //
 // Producers are crash-tolerant: when a node dies mid-workload they
 // rewind to the analyzed watermark and resubmit (exactly-once dedup

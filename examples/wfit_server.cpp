@@ -3,12 +3,14 @@
 // processes plus one wfit_client form a live multi-node deployment on
 // one machine:
 //
-//   wfit_server --node_id=a --listen=127.0.0.1:7601 \
+//   wfit_server --node_id=a --listen=127.0.0.1:7601
 //       --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --checkpoint_root=na &
-//   wfit_server --node_id=b --listen=127.0.0.1:7602 \
+//   wfit_server --node_id=b --listen=127.0.0.1:7602
 //       --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --checkpoint_root=nb &
-//   wfit_client --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --tenants=2 \
+//   wfit_client --nodes=a=127.0.0.1:7601,b=127.0.0.1:7602 --tenants=2
 //       --migrate=tenant-0:120 --trajectory_out=got --reference=ref
+//
+// (an indented line continues the command above it)
 //
 // SIGTERM/SIGINT (or a kShutdownNode RPC) shut the node down gracefully:
 // every resident shard drains, applies due feedback, and seals journal +

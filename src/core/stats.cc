@@ -33,17 +33,17 @@ double RecencyRing::CurrentValue(uint64_t now) const {
   if (size_ == 0) return 0.0;
   double best = 0.0;
   double sum = 0.0;
-  const size_t count = size_;
-  size_t idx = newest_;
-  for (size_t i = 0; i < count; ++i) {  // newest -> oldest
-    const Entry& e = buf_[idx];
+  auto step = [&](const Entry& e) {
     sum += e.value;
     // now >= n always holds; the window spans the most recent now-n+1
     // statements.
     double denom = static_cast<double>(now - e.n + 1);
     best = std::max(best, sum / denom);
-    idx = (idx + count - 1) % count;
-  }
+  };
+  // Newest -> oldest: slots newest_ down to 0, then (once the ring has
+  // wrapped) the older run from the last slot down to newest_ + 1.
+  for (uint32_t i = newest_ + 1; i-- > 0;) step(buf_[i]);
+  for (uint32_t i = size_; i-- > newest_ + 1;) step(buf_[i]);
   return best;
 }
 

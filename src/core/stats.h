@@ -46,13 +46,14 @@ class RecencyRing {
   size_t size() const { return size_; }
   /// Oldest-first copy of the entries.
   std::vector<std::pair<uint64_t, double>> Entries() const;
-  /// Calls f(position, value) for every entry, oldest first.
+  /// Calls f(position, value) for every entry, oldest first: the slots
+  /// after newest_ (the older run once the ring has wrapped), then the
+  /// slots up to and including it.
   template <typename F>
   void ForEachEntry(F&& f) const {
-    for (uint32_t i = 1; i <= size_; ++i) {
-      const Entry& e = buf_[(newest_ + i) % size_];
-      f(e.n, e.value);
-    }
+    if (size_ == 0) return;
+    for (uint32_t i = newest_ + 1; i < size_; ++i) f(buf_[i].n, buf_[i].value);
+    for (uint32_t i = 0; i <= newest_; ++i) f(buf_[i].n, buf_[i].value);
   }
   /// Replaces the entries with the newest hist_size of `oldest_first`
   /// (positions non-decreasing), as a sequence of Record calls would.

@@ -360,7 +360,7 @@ void Server::SweepConns() {
       const bool want_out = !conn->dead && !conn->out.empty();
       if (want_out != conn->want_out) {
         epoll_event ev{};
-        ev.events = EPOLLIN | (want_out ? EPOLLOUT : 0);
+        ev.events = EPOLLIN | (want_out ? static_cast<uint32_t>(EPOLLOUT) : 0u);
         ev.data.fd = fd;
         ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
         conn->want_out = want_out;

@@ -5,16 +5,23 @@
 
 namespace wfit::persist {
 
+// Each value is laid out little-endian in a local array and appended in
+// one call: a snapshot payload is ~180k such values, and a per-byte
+// push_back pays a capacity check on every byte.
 void Encoder::PutU32(uint32_t v) {
+  char bytes[4];
   for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  buf_.append(bytes, sizeof(bytes));
 }
 
 void Encoder::PutU64(uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  buf_.append(bytes, sizeof(bytes));
 }
 
 void Encoder::PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
@@ -48,6 +55,12 @@ Status Decoder::NeedElements(uint32_t count, size_t elem_size) const {
   if (static_cast<uint64_t>(count) * elem_size > remaining()) {
     return Status::InvalidArgument("decode: element count exceeds buffer");
   }
+  return Status::Ok();
+}
+
+Status Decoder::Skip(uint32_t count, size_t elem_size) {
+  WFIT_RETURN_IF_ERROR(NeedElements(count, elem_size));
+  pos_ += static_cast<size_t>(count) * elem_size;
   return Status::Ok();
 }
 

@@ -54,6 +54,9 @@ class Decoder {
   Status GetU32Vector(std::vector<uint32_t>* out);
   Status GetU64Vector(std::vector<uint64_t>* out);
   Status GetDoubleVector(std::vector<double>* out);
+  /// Steps over `count` elements of `elem_size` bytes each without
+  /// decoding them; fails like a Get of those elements would.
+  Status Skip(uint32_t count, size_t elem_size);
 
   size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }

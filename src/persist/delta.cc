@@ -314,10 +314,24 @@ bool EmitPatchOp(const SnapshotUnit& u, std::string_view next,
   return EmitPatchParts(u, next.size(), parts, ops);
 }
 
+/// Crc32 of every unit's bytes, in unit order.
+std::vector<uint32_t> UnitCrcs(std::string_view payload,
+                               const std::vector<SnapshotUnit>& units) {
+  std::vector<uint32_t> crcs;
+  crcs.reserve(units.size());
+  for (const SnapshotUnit& u : units) {
+    crcs.push_back(Crc32(payload.substr(u.offset, u.len)));
+  }
+  return crcs;
+}
+
 }  // namespace
 
 StatusOr<std::vector<SnapshotUnit>> ChunkSnapshotPayload(
     std::string_view payload) {
+  // Only unit boundaries matter here, so variable-length fields are
+  // stepped over (with the same bounds checks a decode would make)
+  // rather than decoded.
   std::vector<SnapshotUnit> units;
   Decoder d(payload);
   auto pos = [&] {
@@ -326,20 +340,28 @@ StatusOr<std::vector<SnapshotUnit>> ChunkSnapshotPayload(
   auto push = [&](uint8_t section, uint64_t key, uint64_t start) {
     units.push_back(SnapshotUnit{section, key, start, pos() - start});
   };
-
-  uint64_t u64 = 0;
-  uint32_t u32 = 0;
-  uint8_t u8 = 0;
-  double dbl = 0.0;
-  std::string str;
-  IndexSet set;
-  std::vector<uint32_t> v32;
-  std::vector<double> vdbl;
+  // A u32 count prefix and that many `elem_size`-byte elements: a string
+  // (1), an index set or u32 vector (4), a u64 or double vector (8).
+  auto skip_counted = [&](size_t elem_size) -> Status {
+    uint32_t count = 0;
+    WFIT_RETURN_IF_ERROR(d.GetU32(&count));
+    return d.Skip(count, elem_size);
+  };
+  // A window body: u64 key, u32 entry count, 16-byte entries.
+  auto window = [&](uint8_t section) -> Status {
+    const uint64_t start = pos();
+    uint64_t key = 0;
+    uint32_t entries = 0;
+    WFIT_RETURN_IF_ERROR(d.GetU64(&key));
+    WFIT_RETURN_IF_ERROR(d.GetU32(&entries));
+    WFIT_RETURN_IF_ERROR(d.Skip(entries, kWindowEntry));
+    push(section, key, start);
+    return Status::Ok();
+  };
 
   // Meta: analyzed + journal_lsn.
   uint64_t start = pos();
-  WFIT_RETURN_IF_ERROR(d.GetU64(&u64));
-  WFIT_RETURN_IF_ERROR(d.GetU64(&u64));
+  WFIT_RETURN_IF_ERROR(d.Skip(2, 8));
   push(kSectionMeta, 0, start);
 
   // Pool: count + per-def (table, columns).
@@ -347,8 +369,8 @@ StatusOr<std::vector<SnapshotUnit>> ChunkSnapshotPayload(
   uint32_t pool_count = 0;
   WFIT_RETURN_IF_ERROR(d.GetU32(&pool_count));
   for (uint32_t i = 0; i < pool_count; ++i) {
-    WFIT_RETURN_IF_ERROR(d.GetU32(&u32));
-    WFIT_RETURN_IF_ERROR(d.GetU32Vector(&v32));
+    WFIT_RETURN_IF_ERROR(d.Skip(1, 4));
+    WFIT_RETURN_IF_ERROR(skip_counted(4));
   }
   push(kSectionPool, 0, start);
 
@@ -365,27 +387,26 @@ StatusOr<std::vector<SnapshotUnit>> ChunkSnapshotPayload(
 
   for (uint32_t p = 0; p < parts; ++p) {
     start = pos();
-    WFIT_RETURN_IF_ERROR(d.GetU32Vector(&v32));
-    WFIT_RETURN_IF_ERROR(d.GetDoubleVector(&vdbl));
-    WFIT_RETURN_IF_ERROR(d.GetU32(&u32));
+    WFIT_RETURN_IF_ERROR(skip_counted(4));  // members
+    WFIT_RETURN_IF_ERROR(skip_counted(8));  // work values
+    WFIT_RETURN_IF_ERROR(d.Skip(1, 4));     // recommendation
     push(kSectionPart, p, start);
   }
 
   if (kind == kTunerWfit) {
     start = pos();
-    WFIT_RETURN_IF_ERROR(d.GetIndexSet(&set));
-    WFIT_RETURN_IF_ERROR(d.GetIndexSet(&set));
+    WFIT_RETURN_IF_ERROR(skip_counted(4));
+    WFIT_RETURN_IF_ERROR(skip_counted(4));
     push(kSectionCandidates, 0, start);
 
     start = pos();
-    WFIT_RETURN_IF_ERROR(d.GetU64(&u64));  // repartitions
-    WFIT_RETURN_IF_ERROR(d.GetU64(&u64));  // feedback_events
+    WFIT_RETURN_IF_ERROR(d.Skip(2, 8));  // repartitions, feedback_events
     push(kSectionCounters, 0, start);
 
     start = pos();
-    WFIT_RETURN_IF_ERROR(d.GetIndexSet(&set));
-    WFIT_RETURN_IF_ERROR(d.GetU64(&u64));
-    WFIT_RETURN_IF_ERROR(d.GetString(&str));
+    WFIT_RETURN_IF_ERROR(skip_counted(4));  // universe
+    WFIT_RETURN_IF_ERROR(d.Skip(1, 8));     // position
+    WFIT_RETURN_IF_ERROR(skip_counted(1));  // RNG stream state
     push(kSectionSelectorCore, 0, start);
 
     start = pos();
@@ -393,16 +414,7 @@ StatusOr<std::vector<SnapshotUnit>> ChunkSnapshotPayload(
     WFIT_RETURN_IF_ERROR(d.GetU32(&benefit));
     push(kSectionBenefitCount, 0, start);
     for (uint32_t i = 0; i < benefit; ++i) {
-      start = pos();
-      uint64_t key = 0;
-      WFIT_RETURN_IF_ERROR(d.GetU64(&key));
-      uint32_t entries = 0;
-      WFIT_RETURN_IF_ERROR(d.GetU32(&entries));
-      for (uint32_t j = 0; j < entries; ++j) {
-        WFIT_RETURN_IF_ERROR(d.GetU64(&u64));
-        WFIT_RETURN_IF_ERROR(d.GetDouble(&dbl));
-      }
-      push(kSectionBenefitWindow, key, start);
+      WFIT_RETURN_IF_ERROR(window(kSectionBenefitWindow));
     }
 
     start = pos();
@@ -410,33 +422,19 @@ StatusOr<std::vector<SnapshotUnit>> ChunkSnapshotPayload(
     WFIT_RETURN_IF_ERROR(d.GetU32(&interaction));
     push(kSectionInteractionCount, 0, start);
     for (uint32_t i = 0; i < interaction; ++i) {
-      start = pos();
-      uint64_t key = 0;
-      WFIT_RETURN_IF_ERROR(d.GetU64(&key));
-      uint32_t entries = 0;
-      WFIT_RETURN_IF_ERROR(d.GetU32(&entries));
-      for (uint32_t j = 0; j < entries; ++j) {
-        WFIT_RETURN_IF_ERROR(d.GetU64(&u64));
-        WFIT_RETURN_IF_ERROR(d.GetDouble(&dbl));
-      }
-      push(kSectionInteractionWindow, key, start);
+      WFIT_RETURN_IF_ERROR(window(kSectionInteractionWindow));
     }
   } else {
     start = pos();
-    WFIT_RETURN_IF_ERROR(d.GetU64(&u64));  // feedback_events
+    WFIT_RETURN_IF_ERROR(d.Skip(1, 8));  // feedback_events
     push(kSectionCounters, 0, start);
   }
 
   if (!d.done()) {
     start = pos();
-    WFIT_RETURN_IF_ERROR(d.GetU8(&u8));
-    WFIT_RETURN_IF_ERROR(d.GetDouble(&dbl));
-    WFIT_RETURN_IF_ERROR(d.GetU64(&u64));
-    uint32_t fps = 0;
-    WFIT_RETURN_IF_ERROR(d.GetU32(&fps));
-    for (uint32_t i = 0; i < fps; ++i) {
-      WFIT_RETURN_IF_ERROR(d.GetU64(&u64));
-    }
+    WFIT_RETURN_IF_ERROR(d.Skip(1, 1));     // mode
+    WFIT_RETURN_IF_ERROR(d.Skip(2, 8));     // sample rate, sample seed
+    WFIT_RETURN_IF_ERROR(skip_counted(8));  // dup-filter fingerprints
     push(kSectionOverload, 0, start);
   }
   if (!d.done()) {
@@ -497,15 +495,15 @@ void PruneCheckpointDir(const std::string& dir, size_t keep) {
 
 Status DeltaCheckpointer::Rebase(std::string_view payload,
                                  const std::vector<SnapshotUnit>& units,
-                                 uint64_t analyzed) {
+                                 const std::vector<uint32_t>& unit_crcs,
+                                 uint32_t payload_crc, uint64_t analyzed) {
   sigs_.clear();
   sigs_.reserve(units.size());
   base_bytes_.clear();
-  pool_defs_crc_ = 0;
-  pool_unit_len_ = 0;
   base_kind_ = 0;
   base_repartitions_ = 0;
-  for (const SnapshotUnit& u : units) {
+  for (size_t i = 0; i < units.size(); ++i) {
+    const SnapshotUnit& u = units[i];
     std::string_view bytes = payload.substr(u.offset, u.len);
     // Window units keep only their newest entry (the ring-shift anchor);
     // every other unit keeps its bytes for prefix/suffix patches.
@@ -516,12 +514,8 @@ Status DeltaCheckpointer::Rebase(std::string_view payload,
                  : std::string_view();
     }
     sigs_.push_back(UnitSig{u.key, u.len, base_bytes_.size(), kept.size(),
-                            Crc32(bytes), u.section});
+                            unit_crcs[i], u.section});
     base_bytes_.append(kept);
-    if (u.section == kSectionPool && u.len >= 4) {
-      pool_defs_crc_ = Crc32(bytes.substr(4));
-      pool_unit_len_ = u.len;
-    }
     if (u.section == kSectionTunerHeader && u.len >= 1) {
       base_kind_ = static_cast<uint8_t>(bytes[0]);
     }
@@ -544,7 +538,7 @@ Status DeltaCheckpointer::Rebase(std::string_view payload,
   }
   base_bytes_.shrink_to_fit();
   base_analyzed_ = analyzed;
-  base_crc_ = Crc32(payload);
+  base_crc_ = payload_crc;
   return Status::Ok();
 }
 
@@ -569,8 +563,9 @@ Status DeltaCheckpointer::Seed(std::string payload, uint64_t root_analyzed,
   if (payload.size() < 8) {
     return Status::InvalidArgument("delta seed: short payload");
   }
-  WFIT_RETURN_IF_ERROR(
-      Rebase(payload, *units, ReadU64Le(std::string_view(payload))));
+  WFIT_RETURN_IF_ERROR(Rebase(payload, *units, UnitCrcs(payload, *units),
+                              Crc32(payload),
+                              ReadU64Le(std::string_view(payload))));
   root_analyzed_ = root_analyzed;
   deltas_in_chain_ = deltas_in_chain;
   seeded_ = true;
@@ -587,8 +582,6 @@ void DeltaCheckpointer::Reset() {
   deltas_in_chain_ = 0;
   sigs_.clear();
   base_bytes_.clear();
-  pool_defs_crc_ = 0;
-  pool_unit_len_ = 0;
   base_kind_ = 0;
   base_repartitions_ = 0;
 }
@@ -602,6 +595,11 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
   auto units_or = ChunkSnapshotPayload(payload);
   WFIT_RETURN_IF_ERROR(units_or.status());
   const std::vector<SnapshotUnit>& units = *units_or;
+  // The checkpoint's only CRC passes over the payload: each unit once
+  // (the diff and the next base's signatures) and the whole payload once
+  // (the file header and the next base's chain CRC).
+  const std::vector<uint32_t> unit_crcs = UnitCrcs(payload, units);
+  const uint32_t payload_crc = Crc32(payload);
 
   bool want_full = !options_.enable_deltas || !seeded_ ||
                    deltas_in_chain_ >= options_.full_every;
@@ -609,12 +607,13 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
   Encoder ops;
   uint32_t op_count = 0;
   if (!want_full) {
-    for (const SnapshotUnit& u : units) {
+    for (size_t i = 0; i < units.size(); ++i) {
+      const SnapshotUnit& u = units[i];
       std::string_view bytes =
           std::string_view(payload).substr(u.offset, u.len);
       const UnitSig* sig = FindSig(u.section, u.key);
       const bool unchanged =
-          sig != nullptr && sig->len == u.len && sig->crc == Crc32(bytes);
+          sig != nullptr && sig->len == u.len && sig->crc == unit_crcs[i];
       if (u.section == kSectionTunerHeader || u.section == kSectionCandidates) {
         if (!unchanged) {
           // Structural change: repartitioned part layout or candidate
@@ -640,9 +639,14 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
         ops.PutU64(u.key);
         continue;
       }
-      if (u.section == kSectionPool && pool_unit_len_ >= 4 &&
-          u.len > pool_unit_len_ &&
-          Crc32(bytes.substr(4, pool_unit_len_ - 4)) == pool_defs_crc_) {
+      // The base pool unit is kept whole, so growth is checked exactly.
+      std::string_view kept =
+          sig == nullptr ? std::string_view()
+                         : std::string_view(base_bytes_)
+                               .substr(sig->kept_offset, sig->kept_len);
+      if (u.section == kSectionPool && kept.size() >= 4 &&
+          u.len > kept.size() &&
+          bytes.substr(4, kept.size() - 4) == kept.substr(4)) {
         // Append-only pool growth: ship only the new definitions.
         ++op_count;
         ops.PutU8(kOpPoolAppend);
@@ -651,12 +655,10 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
         uint32_t new_count = 0;
         std::memcpy(&new_count, bytes.data(), 4);
         ops.PutU32(new_count);
-        ops.PutString(bytes.substr(pool_unit_len_));
+        ops.PutString(bytes.substr(kept.size()));
         continue;
       }
       if (sig != nullptr) {
-        std::string_view kept = std::string_view(base_bytes_)
-                                    .substr(sig->kept_offset, sig->kept_len);
         const bool patched =
             IsWindowSection(u.section)
                 ? EmitRingShiftOp(u, bytes, WindowEntries(sig->len), kept,
@@ -682,7 +684,7 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
 
   Result result;
   if (want_full) {
-    auto bytes = WriteSnapshotPayload(dir, payload, meta.analyzed);
+    auto bytes = WriteSnapshotPayload(dir, payload, payload_crc, meta.analyzed);
     WFIT_RETURN_IF_ERROR(bytes.status());
     const size_t keep = std::max<size_t>(options_.keep_chains, 1);
     retained_full_lsns_.push_back(meta.journal_lsn);
@@ -690,7 +692,8 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
       retained_full_lsns_.pop_front();
     }
     PruneCheckpointDir(dir, keep);
-    WFIT_RETURN_IF_ERROR(Rebase(payload, units, meta.analyzed));
+    WFIT_RETURN_IF_ERROR(
+        Rebase(payload, units, unit_crcs, payload_crc, meta.analyzed));
     root_analyzed_ = meta.analyzed;
     deltas_in_chain_ = 0;
     seeded_ = true;
@@ -710,16 +713,16 @@ StatusOr<DeltaCheckpointer::Result> DeltaCheckpointer::Write(
   delta.PutU64(root_analyzed_);
   delta.PutU64(base_analyzed_);
   delta.PutU32(base_crc_);
-  delta.PutU32(Crc32(payload));
+  delta.PutU32(payload_crc);
   delta.PutU64(payload.size());
   delta.PutU32(op_count);
   delta.PutString(ops.data());
-  auto bytes = WriteFramedFileDurable(dir, DeltaName(root_analyzed_,
-                                                     meta.analyzed),
-                                      kDeltaMagic, kDeltaVersion,
-                                      delta.data());
+  auto bytes = WriteFramedFileDurable(
+      dir, DeltaName(root_analyzed_, meta.analyzed), kDeltaMagic,
+      kDeltaVersion, delta.data(), Crc32(delta.data()));
   WFIT_RETURN_IF_ERROR(bytes.status());
-  WFIT_RETURN_IF_ERROR(Rebase(payload, units, meta.analyzed));
+  WFIT_RETURN_IF_ERROR(
+      Rebase(payload, units, unit_crcs, payload_crc, meta.analyzed));
   ++deltas_in_chain_;
   result.bytes = *bytes;
   result.wrote_full = false;
@@ -755,6 +758,7 @@ SnapshotLoadResult LoadLatestCheckpoint(const std::string& dir, Tuner* tuner,
     const uint64_t root_lsn =
         cur.size() >= 16 ? ReadU64Le(std::string_view(cur).substr(8)) : 0;
     uint64_t cur_analyzed = root_analyzed;
+    uint32_t cur_crc = Crc32(cur);
     uint64_t applied = 0;
     uint64_t chain_skipped = 0;
     for (const std::string& delta_path : deltas) {
@@ -780,7 +784,7 @@ SnapshotLoadResult LoadLatestCheckpoint(const std::string& dir, Tuner* tuner,
       }
       if (st.ok() &&
           (h.root_analyzed != root_analyzed || h.analyzed != analyzed ||
-           h.base_analyzed != cur_analyzed || h.base_crc != Crc32(cur))) {
+           h.base_analyzed != cur_analyzed || h.base_crc != cur_crc)) {
         st = Status::InvalidArgument("delta: base mismatch");
       }
       if (st.ok()) {
@@ -794,6 +798,7 @@ SnapshotLoadResult LoadLatestCheckpoint(const std::string& dir, Tuner* tuner,
           } else {
             cur = std::move(next).value();
             cur_analyzed = h.analyzed;
+            cur_crc = h.self_crc;  // ApplyDelta verified it
             ++applied;
           }
         }

@@ -154,9 +154,12 @@ class DeltaCheckpointer {
     uint8_t section = 0;
   };
 
-  /// Installs `payload` as the new diff base.
+  /// Installs `payload` as the new diff base. `unit_crcs` (one per unit)
+  /// and `payload_crc` are its CRCs, already computed by the caller.
   Status Rebase(std::string_view payload,
-                const std::vector<SnapshotUnit>& units, uint64_t analyzed);
+                const std::vector<SnapshotUnit>& units,
+                const std::vector<uint32_t>& unit_crcs, uint32_t payload_crc,
+                uint64_t analyzed);
 
   /// The base unit (section, key), or nullptr.
   const UnitSig* FindSig(uint8_t section, uint64_t key) const;
@@ -176,11 +179,6 @@ class DeltaCheckpointer {
   uint64_t deltas_in_chain_ = 0;
   /// Sorted by (section, key).
   std::vector<UnitSig> sigs_;
-  /// Pool-append support: CRC/length of the base pool unit's definition
-  /// bytes (count prefix excluded), so an append-only-grown pool ships
-  /// only the new definitions.
-  uint32_t pool_defs_crc_ = 0;
-  uint64_t pool_unit_len_ = 0;
   /// Structural-change detection: tuner kind and (for WFIT) the
   /// repartition counter of the base payload — a repartition forces a
   /// full snapshot even though the parts would diff cleanly.

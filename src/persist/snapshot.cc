@@ -316,12 +316,12 @@ Status DecodeOverload(Decoder* d, OverloadPersist* out) {
 }
 
 std::string EncodeHeader(uint32_t magic, uint32_t version,
-                         std::string_view payload) {
+                         uint64_t payload_len, uint32_t payload_crc) {
   Encoder header;
   header.PutU32(magic);
   header.PutU32(version);
-  header.PutU64(payload.size());
-  header.PutU32(Crc32(payload));
+  header.PutU64(payload_len);
+  header.PutU32(payload_crc);
   header.PutU32(Crc32(header.data()));
   return header.Release();
 }
@@ -365,8 +365,10 @@ Status DecodeSnapshotPayload(std::string_view payload, Tuner* tuner,
 }
 
 Status WriteFramedFile(const std::string& path, uint32_t magic,
-                       uint32_t version, std::string_view payload) {
-  const std::string header = EncodeHeader(magic, version, payload);
+                       uint32_t version, std::string_view payload,
+                       uint32_t payload_crc) {
+  const std::string header =
+      EncodeHeader(magic, version, payload.size(), payload_crc);
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return ErrnoStatus("open", path);
   bool ok =
@@ -381,13 +383,15 @@ Status WriteFramedFile(const std::string& path, uint32_t magic,
 StatusOr<uint64_t> WriteFramedFileDurable(const std::string& dir,
                                           const std::string& filename,
                                           uint32_t magic, uint32_t version,
-                                          std::string_view payload) {
+                                          std::string_view payload,
+                                          uint32_t payload_crc) {
   std::error_code ec;
   fs::create_directories(dir, ec);
   if (ec) return Status::Internal("create_directories " + dir);
   const std::string final_path = (fs::path(dir) / filename).string();
   const std::string tmp_path = final_path + ".tmp";
-  WFIT_RETURN_IF_ERROR(WriteFramedFile(tmp_path, magic, version, payload));
+  WFIT_RETURN_IF_ERROR(
+      WriteFramedFile(tmp_path, magic, version, payload, payload_crc));
   uint64_t bytes = static_cast<uint64_t>(fs::file_size(tmp_path, ec));
   fs::rename(tmp_path, final_path, ec);
   if (ec) return Status::Internal("rename " + tmp_path);
@@ -397,9 +401,10 @@ StatusOr<uint64_t> WriteFramedFileDurable(const std::string& dir,
 
 StatusOr<uint64_t> WriteSnapshotPayload(const std::string& dir,
                                         std::string_view payload,
+                                        uint32_t payload_crc,
                                         uint64_t analyzed) {
   return WriteFramedFileDurable(dir, SnapshotName(analyzed), kSnapshotMagic,
-                                kSnapshotVersion, payload);
+                                kSnapshotVersion, payload, payload_crc);
 }
 
 StatusOr<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
@@ -447,7 +452,8 @@ Status WriteSnapshotFile(const std::string& path, const Tuner& tuner,
                          const IndexPool& pool, const SnapshotMeta& meta) {
   auto payload = EncodeSnapshotPayload(tuner, pool, meta);
   WFIT_RETURN_IF_ERROR(payload.status());
-  return WriteFramedFile(path, kSnapshotMagic, kSnapshotVersion, *payload);
+  return WriteFramedFile(path, kSnapshotMagic, kSnapshotVersion, *payload,
+                         Crc32(*payload));
 }
 
 StatusOr<uint64_t> WriteSnapshot(const std::string& dir, const Tuner& tuner,
@@ -455,7 +461,8 @@ StatusOr<uint64_t> WriteSnapshot(const std::string& dir, const Tuner& tuner,
                                  const SnapshotMeta& meta, size_t keep) {
   auto payload = EncodeSnapshotPayload(tuner, pool, meta);
   WFIT_RETURN_IF_ERROR(payload.status());
-  auto bytes = WriteSnapshotPayload(dir, *payload, meta.analyzed);
+  auto bytes =
+      WriteSnapshotPayload(dir, *payload, Crc32(*payload), meta.analyzed);
   WFIT_RETURN_IF_ERROR(bytes.status());
   // Prune: keep the newest `keep` (fallback depth), drop the rest.
   std::error_code ec;

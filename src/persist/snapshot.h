@@ -81,21 +81,26 @@ StatusOr<std::string> ReadFramedFile(const std::string& path, uint32_t magic,
                                      uint32_t version);
 
 /// Writes header + payload to `path` and fsyncs it. Non-atomic.
+/// `payload_crc` is Crc32(payload), which the caller has usually computed
+/// already; it goes into the header unchecked.
 Status WriteFramedFile(const std::string& path, uint32_t magic,
-                       uint32_t version, std::string_view payload);
+                       uint32_t version, std::string_view payload,
+                       uint32_t payload_crc);
 
 /// Durable framed write into `dir`: tmp file + fsync + rename + directory
 /// fsync. Returns the file size in bytes.
 StatusOr<uint64_t> WriteFramedFileDurable(const std::string& dir,
                                           const std::string& filename,
                                           uint32_t magic, uint32_t version,
-                                          std::string_view payload);
+                                          std::string_view payload,
+                                          uint32_t payload_crc);
 
 /// Durable write of an already-encoded canonical payload under the
 /// managed name snapshot-<analyzed>.wfsnap. Does NOT prune — callers that
 /// maintain delta chains prune via PruneCheckpointDir (persist/delta.h).
 StatusOr<uint64_t> WriteSnapshotPayload(const std::string& dir,
                                         std::string_view payload,
+                                        uint32_t payload_crc,
                                         uint64_t analyzed);
 
 /// Canonical managed file name: snapshot-<analyzed, zero-padded>.wfsnap.

@@ -398,6 +398,40 @@ TEST(DeltaChainTest, CoverLsnRequiresTwoDurableFulls) {
   EXPECT_EQ(r3->cover_lsn, 100u);
 }
 
+// Every checkpoint of a run that repartitions (fulls) and churns its
+// windows (deltas) must load back to exactly the state it was written
+// from. A unit CRC paired with the wrong unit would mark a changed unit
+// unchanged; the loader would then reject that delta and silently fall
+// back to an older state, which this test sees as a skip or a stale
+// analyzed count.
+TEST(DeltaChainTest, EveryCheckpointOfAChurnyRunLoadsBackExactly) {
+  const std::string dir = FreshDir("every_checkpoint");
+  ChainRun run;
+  DeltaCheckpointer cp;
+  size_t fulls = 0, deltas = 0;
+  for (size_t n = 4; n <= kWorkloadLen; n += 4) {
+    run.AdvanceTo(n);
+    const SnapshotMeta meta = MetaAt(n, n);
+    auto r = cp.Write(dir, run.tuner, run.db.pool(), meta);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ++(r->wrote_full ? fulls : deltas);
+
+    TestDb db2;
+    Wfit restored(&db2.pool(), &db2.optimizer(), IndexSet{}, FastOptions());
+    SnapshotLoadResult loaded =
+        LoadLatestCheckpoint(dir, &restored, &db2.pool(), nullptr);
+    ASSERT_TRUE(loaded.loaded) << "after statement " << n;
+    ASSERT_EQ(loaded.skipped, 0u) << "after statement " << n;
+    ASSERT_EQ(loaded.meta.analyzed, n);
+    auto live = EncodeSnapshotPayload(run.tuner, run.db.pool(), meta);
+    auto back = EncodeSnapshotPayload(restored, db2.pool(), loaded.meta);
+    ASSERT_TRUE(live.ok() && back.ok());
+    ASSERT_TRUE(*back == *live) << "restored state differs after " << n;
+  }
+  EXPECT_GT(fulls, 1u);
+  EXPECT_GT(deltas, fulls);
+}
+
 // --- chunker -------------------------------------------------------------
 
 TEST(DeltaChainTest, ChunkerCoversEveryPayloadByteContiguously) {
@@ -418,6 +452,17 @@ TEST(DeltaChainTest, ChunkerCoversEveryPayloadByteContiguously) {
   EXPECT_EQ(pos, payload->size());
   EXPECT_EQ((*units)[0].section, kSectionMeta);
   EXPECT_EQ((*units)[0].len, 16u);
+
+  // The chunker steps over fields instead of decoding them; a truncated
+  // payload must still be rejected. The one valid prefix is the payload
+  // without its optional overload trailer.
+  ASSERT_EQ(units->back().section, kSectionOverload);
+  const uint64_t trailer = units->back().offset;
+  for (size_t len = 0; len < payload->size(); ++len) {
+    const bool ok =
+        ChunkSnapshotPayload(std::string_view(*payload).substr(0, len)).ok();
+    ASSERT_EQ(ok, len == trailer) << "prefix of " << len << " bytes";
+  }
 }
 
 TEST(DeltaChainTest, PoolGrowthShipsOnlyAppendedDefinitions) {

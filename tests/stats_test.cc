@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+#include <vector>
+
 namespace wfit {
 namespace {
 
@@ -61,6 +66,31 @@ TEST(RecencyRingTest, HistSizeEvictsOldest) {
   EXPECT_EQ(r.size(), 3u);
   // If the 1000 entry survived, the value at N=4 would be ≥ 1000/4 = 250.
   EXPECT_LT(r.CurrentValue(4), 10.0);
+}
+
+// The ring is walked as two linear runs split at the newest slot; at
+// every rotation the walk must see the entries in recording order and
+// sum them newest to oldest exactly as the formula's reference does.
+TEST(RecencyRingTest, WrappedRingWalksInOrderAtEveryRotation) {
+  constexpr uint32_t kHist = 5;
+  RecencyRing r;
+  std::vector<std::pair<uint64_t, double>> recorded;
+  for (uint64_t n = 1; n <= 3 * kHist; ++n) {
+    const double value = 1.0 / static_cast<double>(n) + (n % 3);
+    r.Record(kHist, n, value);
+    recorded.emplace_back(n, value);
+    const size_t keep = std::min<size_t>(recorded.size(), kHist);
+    const std::vector<std::pair<uint64_t, double>> window(
+        recorded.end() - static_cast<std::ptrdiff_t>(keep), recorded.end());
+    EXPECT_EQ(r.Entries(), window) << "after " << n << " records";
+    const uint64_t now = n + 2;
+    double best = 0.0, sum = 0.0;
+    for (auto it = window.rbegin(); it != window.rend(); ++it) {
+      sum += it->second;
+      best = std::max(best, sum / static_cast<double>(now - it->first + 1));
+    }
+    EXPECT_EQ(r.CurrentValue(now), best) << "after " << n << " records";
+  }
 }
 
 TEST(RecencyRingDeathTest, DecreasingPositionsAbort) {
